@@ -17,7 +17,6 @@ from .bench import (
 )
 from .evolution import (
     AdaptiveParams,
-    Individual,
     Population,
     RunResult,
     SolverConfig,
@@ -42,7 +41,6 @@ from .linalg import (
     LinearSystem,
     SingularMatrixError,
     direct_solve,
-    matvec,
     residual_norm,
 )
 from .problems import (
@@ -67,7 +65,6 @@ __all__ = [
     "ConstRule",
     "FAMILY_IDS",
     "FormulaRule",
-    "Individual",
     "IterationOperator",
     "LinearSystem",
     "Population",
@@ -91,7 +88,6 @@ __all__ = [
     "init_relaxation_factors",
     "jacobi_sr_step",
     "make_stochastic_matrix",
-    "matvec",
     "mutate_and_evaluate",
     "parse_bench_plan",
     "parse_problem_spec",

@@ -24,6 +24,7 @@ from .problems import (
     FAMILY_IDS,
     ProblemSpec,
     SpecParseError,
+    _SPEC_KEYS,
     _build_spec,
     _parse_int,
     _scan_kv,
@@ -229,7 +230,6 @@ class Summary:
     converged_runs: int
     mean_generations: float
     mean_elapsed_ms: float
-    mean_final_residual: float
 
 
 def summarize(rows: Sequence[BenchRow]) -> list[Summary]:
@@ -248,7 +248,6 @@ def summarize(rows: Sequence[BenchRow]) -> list[Summary]:
                 converged_runs=sum(1 for r in grp if r.converged),
                 mean_generations=sum(r.generations for r in grp) / k,
                 mean_elapsed_ms=sum(r.elapsed_ms for r in grp) / k,
-                mean_final_residual=sum(r.final_residual for r in grp) / k,
             )
         )
     return out
@@ -376,7 +375,6 @@ def emit_trace_svg(trace, sink, title: str = "") -> None:
 
 _PLAN_KEYS = ("problems", "variants", "repetitions", "base_seed", "threshold",
               "max_generations")
-_PROBLEM_KEYS = ("id", "n", "seed", "diag", "offdiag", "rhs")
 _DEFAULT_VARIANTS = ("JBTVA", "GSBTVA", "MJBTVA", "MGSBTVA")
 
 
@@ -390,15 +388,7 @@ def parse_bench_plan(text: str) -> BenchPlan:
     variants), ``repetitions`` (default 10), ``base_seed`` (default 0),
     ``threshold`` and ``max_generations`` (solver defaults).
     """
-    fields: dict[str, str] = {}
-    lines: dict[str, int | None] = {}
-    for lineno, key, value in _scan_kv(text):
-        if key not in _PLAN_KEYS and key not in _PROBLEM_KEYS:
-            raise SpecParseError(f"unknown key {key!r}", lineno)
-        if key in fields:
-            raise SpecParseError(f"duplicate key {key!r}", lineno)
-        fields[key] = value
-        lines[key] = lineno
+    fields, lines = _scan_kv(text, _PLAN_KEYS + _SPEC_KEYS)
 
     if "problems" in fields and "id" in fields:
         raise SpecParseError(
@@ -423,7 +413,7 @@ def parse_bench_plan(text: str) -> BenchPlan:
                 raise SpecParseError(f"unknown id {pid!r}", lines["problems"])
             specs.append(family_spec(pid, n, seed=0))
     elif "id" in fields:
-        prob_fields = {k: v for k, v in fields.items() if k in _PROBLEM_KEYS}
+        prob_fields = {k: v for k, v in fields.items() if k in _SPEC_KEYS}
         prob_fields.setdefault("n", "200")
         prob_fields.setdefault("seed", "0")
         specs = [_build_spec(prob_fields, lines)]

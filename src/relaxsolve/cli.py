@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import sys
 
@@ -34,34 +35,19 @@ __all__ = ["build_parser", "main"]
 PROG = "relaxsolve"
 
 
-def _u64(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
+def _bounded_int(lo: int, hi: float, what: str):
+    """argparse type for an integer ``lo <= value < hi``, described as ``what``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if not lo <= value < hi:
+            raise argparse.ArgumentTypeError(f"must be {what}")
+        return value
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return value
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -75,6 +61,8 @@ def _positive_float(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    u64 = _bounded_int(0, 2**64, "an unsigned 64-bit integer")
+    positive_int = _bounded_int(1, math.inf, "a positive integer")
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Relaxed Jacobi/Gauss-Seidel solvers with self-adaptive "
@@ -103,13 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--seed",
-        type=_u64,
+        type=u64,
         default=0,
         help="seed for the solver run (and the instance, for family ids)",
     )
     solve.add_argument(
         "--n",
-        type=_positive_int,
+        type=positive_int,
         default=200,
         help="dimension for family ids (ignored for spec files; default 200)",
     )
@@ -121,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--max-gens",
-        type=_nonneg_int,
+        type=_bounded_int(0, math.inf, "a nonnegative integer"),
         default=10000,
         help="generation cap (default 10000)",
     )
@@ -162,10 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--problem", required=True, choices=list(FAMILY_IDS), help="family id"
     )
     generate.add_argument(
-        "--n", type=_positive_int, default=200, help="dimension (default 200)"
+        "--n", type=positive_int, default=200, help="dimension (default 200)"
     )
     generate.add_argument(
-        "--seed", type=_u64, default=0, help="generation seed (default 0)"
+        "--seed", type=u64, default=0, help="generation seed (default 0)"
     )
     generate.add_argument("--out", required=True, help="output file path")
     return parser
@@ -189,7 +177,7 @@ def _load_problem(args) -> tuple[object, object]:
 def _cmd_solve(args) -> int:
     try:
         spec, system = _load_problem(args)
-    except SpecParseError as exc:
+    except (SpecParseError, UnicodeDecodeError) as exc:
         return _fail(f"{args.problem}: {exc}", 2)
     except OSError as exc:
         return _fail(f"cannot read {args.problem}: {exc.strerror or exc}", 3)
@@ -222,7 +210,7 @@ def _cmd_bench(args) -> int:
     try:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan = parse_bench_plan(fh.read())
-    except SpecParseError as exc:
+    except (SpecParseError, UnicodeDecodeError) as exc:
         return _fail(f"{args.plan}: {exc}", 2)
     except OSError as exc:
         return _fail(f"cannot read {args.plan}: {exc.strerror or exc}", 3)

@@ -8,9 +8,10 @@ pairwise stochastic adaptation of the relaxation factors with a step size
 that decays over generations, and truncation selection with duplication.
 
 The four adaptive variants differ only in the mutation sweep (Jacobi vs
-Gauss-Seidel) and in whether the recombination stage runs at all; the
-``FIXED_*`` variants bypass the population machinery entirely and iterate
-a single state with a constant relaxation factor.
+Gauss-Seidel) and in whether the recombination stage runs at all. The
+``FIXED_*`` baselines run through the same loop as a one-slot population
+that starts at the zero vector: with one slot there is no pair to adapt,
+and selection is skipped, so the relaxation factor stays constant.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .linalg import LinearSystem, residual_norm
 
 __all__ = [
     "AdaptiveParams",
-    "Individual",
     "OMEGA_MARGIN",
     "Population",
     "RunResult",
@@ -139,13 +138,6 @@ class SolverConfig:
             raise ValueError("init_lo must be below init_hi")
 
 
-class Individual(NamedTuple):
-    """One candidate solution with its residual norm (None if unevaluated)."""
-
-    state: np.ndarray
-    fitness: float | None
-
-
 @dataclass(frozen=True)
 class Population:
     """N population slots: states, their fitnesses, slot-resident omegas.
@@ -158,23 +150,15 @@ class Population:
     states: np.ndarray
     fitness: np.ndarray | None
     omegas: np.ndarray
-    generation: int = 0
 
     @property
     def size(self) -> int:
         return self.states.shape[0]
 
-    def individual(self, i: int) -> Individual:
-        fit = None if self.fitness is None else float(self.fitness[i])
-        return Individual(state=self.states[i], fitness=fit)
-
     def best_index(self) -> int:
         if self.fitness is None:
             raise ValueError("population has not been evaluated")
         return int(np.argmin(self.fitness))
-
-    def best(self) -> Individual:
-        return self.individual(self.best_index())
 
 
 @dataclass(frozen=True)
@@ -215,12 +199,21 @@ def init_relaxation_factors(n_pop: int, params: AdaptiveParams) -> np.ndarray:
 def init_population(
     sys: LinearSystem, cfg: SolverConfig, rng: np.random.Generator
 ) -> Population:
-    """Uniform random states over the init box, evaluated, with midpoint omegas."""
-    n_pop = cfg.population_size
-    states = rng.uniform(cfg.init_lo, cfg.init_hi, size=(n_pop, sys.n))
+    """The evaluated generation-0 population of a run.
+
+    Adaptive variants get ``cfg.population_size`` states drawn uniformly
+    from the init box, with midpoint omegas. Fixed variants get one slot
+    at the zero vector with omega ``cfg.fixed_omega`` and draw nothing.
+    """
+    if cfg.variant.is_fixed:
+        states = np.zeros((1, sys.n))
+        omegas = np.array([cfg.fixed_omega], dtype=np.float64)
+    else:
+        n_pop = cfg.population_size
+        states = rng.uniform(cfg.init_lo, cfg.init_hi, size=(n_pop, sys.n))
+        omegas = init_relaxation_factors(n_pop, cfg.adaptive)
     fitness = np.array([residual_norm(sys, s) for s in states])
-    omegas = init_relaxation_factors(n_pop, cfg.adaptive)
-    return Population(states=states, fitness=fitness, omegas=omegas, generation=0)
+    return Population(states=states, fitness=fitness, omegas=omegas)
 
 
 def basic_time_variant(t: int, lam: float) -> float:
@@ -317,8 +310,8 @@ def recombine(pop: Population, r: np.ndarray) -> Population:
     """Replace every state by a convex combination of the parent states.
 
     ``r`` must be row-stochastic (each row sums to 1 within 1e-12);
-    offspring i is ``sum_j r_ij * state_j``. Slot omegas and the
-    generation counter are untouched; fitnesses are invalidated.
+    offspring i is ``sum_j r_ij * state_j``. Slot omegas are untouched;
+    fitnesses are invalidated.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (pop.size, pop.size):
@@ -357,7 +350,7 @@ def select_and_reproduce(pop: Population) -> Population:
     Ranking is by fitness with ties broken by lower slot index; survivor
     k occupies slots 2k and 2k+1. Slot omegas stay where they are, so
     the copies of one survivor run under different relaxation factors in
-    the next generation. The caller advances the generation counter.
+    the next generation.
     """
     if pop.fitness is None:
         raise ValueError("population must be evaluated before selection")
@@ -379,72 +372,14 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     non-finite (diverged). All randomness comes from one PCG64 generator
     seeded with ``cfg.seed``; the draw order is: initial states, then per
     generation a stochastic matrix (recombining variants only) followed
-    by two Gaussians per adapted pair. Identical configurations produce
-    identical traces.
+    by two Gaussians per adapted pair. Fixed variants draw nothing.
+    Identical configurations produce identical traces.
     """
     if not isinstance(cfg, SolverConfig):
         raise ValueError("cfg must be a SolverConfig")
-    if cfg.variant.is_fixed:
-        return _run_fixed(sys, cfg)
-    return _run_hybrid(sys, cfg)
-
-
-def _finish(
-    t: int,
-    t0: float,
-    best: float,
-    converged: bool,
-    diverged: bool,
-    trace: list[tuple[int, float]],
-    omegas,
-    best_state: np.ndarray,
-    recombine_calls: int,
-) -> RunResult:
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
-    return RunResult(
-        generations=t,
-        elapsed_ms=elapsed_ms,
-        final_residual=best,
-        converged=converged,
-        diverged=diverged,
-        trace=trace,
-        final_omegas=[float(w) for w in omegas],
-        best_state=np.array(best_state, dtype=np.float64),
-        recombine_calls=recombine_calls,
-    )
-
-
-def _run_fixed(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
-    step = (
-        jacobi_sr_step
-        if cfg.variant.method == "jacobi"
-        else gauss_seidel_sr_step
-    )
-    omega = cfg.fixed_omega
-    x = np.zeros(sys.n)
-    best = residual_norm(sys, x)
-    trace = [(0, best)]
-    t = 0
-    converged = best < cfg.threshold
-    diverged = False
-    t0 = time.perf_counter()
-    while not converged and t < cfg.max_generations:
-        x = step(sys, x, omega)
-        with np.errstate(over="ignore", invalid="ignore"):
-            best = float(np.linalg.norm(sys.a @ x - sys.b))
-        t += 1
-        trace.append((t, best))
-        if best < cfg.threshold:
-            converged = True
-        elif not best <= cfg.divergence_bound:
-            diverged = True
-            break
-    return _finish(t, t0, best, converged, diverged, trace, [omega], x, 0)
-
-
-def _run_hybrid(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
-    rng = np.random.default_rng(cfg.seed)
+    variant = cfg.variant
     params = cfg.adaptive
+    rng = np.random.default_rng(cfg.seed)
     pop = init_population(sys, cfg, rng)
     best = float(pop.fitness.min())
     trace = [(0, best)]
@@ -454,11 +389,11 @@ def _run_hybrid(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     recombine_calls = 0
     t0 = time.perf_counter()
     while not converged and not diverged and t < cfg.max_generations:
-        if cfg.variant.uses_recombination:
+        if variant.uses_recombination:
             r = make_stochastic_matrix(pop.size, rng)
             pop = recombine(pop, r)
             recombine_calls += 1
-        pop = mutate_and_evaluate(pop, sys, cfg.variant)
+        pop = mutate_and_evaluate(pop, sys, variant)
         omegas = pop.omegas.copy()
         for p in range(0, pop.size - 1, 2):
             omegas[p], omegas[p + 1] = adapt_pair(
@@ -471,23 +406,24 @@ def _run_hybrid(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
                 rng,
             )
         pop = replace(pop, omegas=omegas)
-        pop = select_and_reproduce(pop)
+        if not variant.is_fixed:
+            pop = select_and_reproduce(pop)
         t += 1
-        pop = replace(pop, generation=t)
         best = float(pop.fitness.min())
         trace.append((t, best))
         if best < cfg.threshold:
             converged = True
         elif not best <= cfg.divergence_bound:
             diverged = True
-    return _finish(
-        t,
-        t0,
-        best,
-        converged,
-        diverged,
-        trace,
-        pop.omegas,
-        pop.states[pop.best_index()],
-        recombine_calls,
+    elapsed_ms = (time.perf_counter() - t0) * 1e3
+    return RunResult(
+        generations=t,
+        elapsed_ms=elapsed_ms,
+        final_residual=best,
+        converged=converged,
+        diverged=diverged,
+        trace=trace,
+        final_omegas=[float(w) for w in pop.omegas],
+        best_state=np.array(pop.states[pop.best_index()], dtype=np.float64),
+        recombine_calls=recombine_calls,
     )

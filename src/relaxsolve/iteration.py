@@ -14,7 +14,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .linalg import LinearSystem
+from .linalg import LinearSystem, _check_state
 
 __all__ = [
     "IterationOperator",
@@ -32,15 +32,6 @@ class IterationOperator(NamedTuple):
 
     h: np.ndarray
     v: np.ndarray
-
-
-def _check_state(sys: LinearSystem, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (sys.n,):
-        raise ValueError(
-            f"dimension mismatch: system has n={sys.n}, x has shape {x.shape}"
-        )
-    return x
 
 
 def jacobi_sr_step(sys: LinearSystem, x: np.ndarray, omega: float) -> np.ndarray:
@@ -73,13 +64,6 @@ def gauss_seidel_sr_step(
     return solve_triangular(m, rhs, lower=True, check_finite=False)
 
 
-def _unit_lower_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # Forward substitution with implicit unit diagonal; rhs may be a matrix.
-    out = np.array(rhs, dtype=np.float64)
-    for i in range(out.shape[0]):
-        out[i] -= m[i, :i] @ out[:i]
-    return out
-
 def explicit_operator(
     sys: LinearSystem, omega: float, method: Method
 ) -> IterationOperator:
@@ -99,8 +83,10 @@ def explicit_operator(
         v = omega * sys.b / sys.diag
     elif method == "gauss_seidel":
         m = eye + omega * sys.strict_lower / d
-        h = _unit_lower_solve(m, (1.0 - omega) * eye - omega * sys.strict_upper / d)
-        v = _unit_lower_solve(m, omega * sys.b / sys.diag)
+        h = (1.0 - omega) * eye - omega * sys.strict_upper / d
+        v = omega * sys.b / sys.diag
+        h = solve_triangular(m, h, lower=True, unit_diagonal=True)
+        v = solve_triangular(m, v, lower=True, unit_diagonal=True)
     else:
         raise ValueError(f"unknown method {method!r}")
     return IterationOperator(h=h, v=v)

@@ -18,7 +18,6 @@ __all__ = [
     "LinearSystem",
     "SingularMatrixError",
     "direct_solve",
-    "matvec",
     "residual_norm",
 ]
 
@@ -107,15 +106,13 @@ class LinearSystem:
         return m
 
 
-def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product ``a @ x`` with an explicit dimension check."""
-    a = np.asarray(a, dtype=np.float64)
+def _check_state(sys: LinearSystem, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
+    if x.shape != (sys.n,):
         raise ValueError(
-            f"dimension mismatch: matrix {a.shape} times vector {x.shape}"
+            f"dimension mismatch: system has n={sys.n}, x has shape {x.shape}"
         )
-    return a @ x
+    return x
 
 
 def residual_norm(sys: LinearSystem, x: np.ndarray) -> float:
@@ -126,11 +123,7 @@ def residual_norm(sys: LinearSystem, x: np.ndarray) -> float:
     float
         ``||a x - b||_2``; zero exactly when ``x`` solves the system.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (sys.n,):
-        raise ValueError(
-            f"dimension mismatch: system has n={sys.n}, x has shape {x.shape}"
-        )
+    x = _check_state(sys, x)
     return float(np.linalg.norm(sys.a @ x - sys.b))
 
 

@@ -7,9 +7,11 @@ formula. Families P1-P6 and P9-P11 are random; P7 and P8 are fully
 deterministic. Custom problems use the same rule kinds through a small
 line-oriented ``key=value`` spec format.
 
-Diagonal interval rules whose range spans zero (P3, P9, P11) are
-rejection-sampled until every diagonal entry has magnitude at least 1,
-since the iteration matrices need an invertible diagonal.
+Diagonal interval rules are rejection-sampled until every diagonal
+entry has magnitude at least 1 if the interval spans zero (P3, P9, P11)
+and at least ``DIAG_FLOOR`` otherwise, since the iteration matrices need
+an invertible diagonal. A spec whose diagonal interval cannot reach that
+magnitude is rejected.
 """
 
 from __future__ import annotations
@@ -130,6 +132,11 @@ _FAMILIES: dict[str, tuple[Rule, Rule, Rule]] = {
 FAMILY_IDS = tuple(_FAMILIES)
 
 
+def _diag_min_abs(rule: UniformRule) -> float:
+    """Smallest |a_ii| the rejection sampler accepts from a diagonal interval."""
+    return DIAG_MIN_ABS if rule.spans_zero else DIAG_FLOOR
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A fully specified random linear system: id, size, rules, seed."""
@@ -151,6 +158,14 @@ class ProblemSpec:
         if isinstance(self.diag_rule, ConstRule):
             if abs(self.diag_rule.value) < DIAG_FLOOR:
                 raise ValueError("constant diagonal rule must be nonzero")
+        if isinstance(self.diag_rule, UniformRule):
+            lo, hi = self.diag_rule.lo, self.diag_rule.hi
+            min_abs = _diag_min_abs(self.diag_rule)
+            if not max(abs(lo), abs(hi)) > min_abs:
+                raise ValueError(
+                    f"diagonal interval ({lo!r}, {hi!r}) never reaches "
+                    f"the required magnitude {min_abs!r}"
+                )
         if isinstance(self.diag_rule, FormulaRule) and self.diag_rule.slot != "diag":
             raise ValueError("diagonal formula must target the diag slot")
         if (
@@ -196,8 +211,8 @@ def generate_problem(
     generator is seeded with ``spec.seed``, so the same spec always
     produces the same system.
 
-    Diagonal entries from a zero-spanning interval are redrawn until
-    their magnitude reaches 1.
+    Diagonal entries from an interval are redrawn until their magnitude
+    reaches 1 (zero-spanning intervals) or ``DIAG_FLOOR`` (others).
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
@@ -216,8 +231,7 @@ def generate_problem(
 
     diag = spec.diag_rule
     if isinstance(diag, UniformRule):
-        min_abs = DIAG_MIN_ABS if diag.spans_zero else 0.0
-        d = _draw_uniform(diag, n, rng, min_abs=min_abs)
+        d = _draw_uniform(diag, n, rng, min_abs=_diag_min_abs(diag))
     elif isinstance(diag, ConstRule):
         d = np.full(n, float(diag.value))
     else:
@@ -248,7 +262,7 @@ class SpecParseError(ValueError):
 
 
 _RULE_KEYS = {"diag": "diag_rule", "offdiag": "offdiag_rule", "rhs": "rhs_rule"}
-_ALL_KEYS = ("id", "n", "seed", "diag", "offdiag", "rhs")
+_SPEC_KEYS = ("id", "n", "seed", "diag", "offdiag", "rhs")
 
 
 def _parse_rule(key: str, value: str, lineno: int | None) -> Rule:
@@ -291,12 +305,18 @@ def _parse_rule(key: str, value: str, lineno: int | None) -> Rule:
     raise SpecParseError(f"unknown rule kind {kind!r}", lineno)
 
 
-def _scan_kv(text: str):
-    """Yield ``(lineno, key, value)`` for each non-comment, non-blank line.
+def _scan_kv(
+    text: str, allowed_keys: tuple[str, ...]
+) -> tuple[dict[str, str], dict[str, int | None]]:
+    """Scan ``key=value`` lines into ``(fields, lines)``.
 
-    Shared by the problem-spec and benchmark-plan parsers; performs no
-    key validation beyond the ``key=value`` shape.
+    Shared by the problem-spec and benchmark-plan parsers. ``#`` starts
+    a comment; blank lines are skipped. Keys outside ``allowed_keys``,
+    repeated keys, and lines without a key or a value are errors;
+    ``lines`` maps each key to its 1-based line number.
     """
+    fields: dict[str, str] = {}
+    lines: dict[str, int | None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -307,7 +327,13 @@ def _scan_kv(text: str):
             raise SpecParseError(f"expected key=value, got {raw.strip()!r}", lineno)
         if not value:
             raise SpecParseError(f"empty value for key {key!r}", lineno)
-        yield lineno, key, value
+        if key not in allowed_keys:
+            raise SpecParseError(f"unknown key {key!r}", lineno)
+        if key in fields:
+            raise SpecParseError(f"duplicate key {key!r}", lineno)
+        fields[key] = value
+        lines[key] = lineno
+    return fields, lines
 
 
 def _parse_int(
@@ -377,16 +403,7 @@ def parse_problem_spec(text: str) -> ProblemSpec:
     built-in table and reject explicit rule keys. Errors carry the
     offending 1-based line number where one applies.
     """
-    fields: dict[str, str] = {}
-    lines: dict[str, int | None] = {}
-    for lineno, key, value in _scan_kv(text):
-        if key not in _ALL_KEYS:
-            raise SpecParseError(f"unknown key {key!r}", lineno)
-        if key in fields:
-            raise SpecParseError(f"duplicate key {key!r}", lineno)
-        fields[key] = value
-        lines[key] = lineno
-    return _build_spec(fields, lines)
+    return _build_spec(*_scan_kv(text, _SPEC_KEYS))
 
 
 def render_problem_spec(spec: ProblemSpec) -> str:

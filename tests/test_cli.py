@@ -115,6 +115,29 @@ def test_malformed_problem_file_exits_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("diag", ["uniform:-1,1", "uniform:1e-14,1e-13"])
+def test_unreachable_diagonal_interval_exits_2(tmp_path, capsys, diag):
+    spec_file = tmp_path / "prob.txt"
+    spec_file.write_text(CUSTOM_SPEC.replace("diag=const:50", f"diag={diag}"))
+    code = main(["solve", "--problem", str(spec_file), "--variant", "MJBTVA"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(spec_file) in err and "diagonal interval" in err
+
+
+def _latin1_file(path, text):
+    path.write_bytes(("# r\xe9sum\xe9\n" + text).encode("latin-1"))
+    return str(path)
+
+
+def test_non_utf8_problem_file_exits_2(tmp_path, capsys):
+    spec_file = _latin1_file(tmp_path / "prob.txt", CUSTOM_SPEC)
+    code = main(["solve", "--problem", spec_file, "--variant", "JBTVA"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert spec_file in err and "utf-8" in err
+
+
 def test_bad_seed_value_exits_2(capsys):
     assert main(["solve", "--problem", "P1", "--variant", "JBTVA", "--seed", "-4"]) == 2
 
@@ -146,6 +169,16 @@ def test_bench_bad_plan_exits_2_without_csv(tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     code = main(["bench", "--plan", str(plan), "--out", str(out_csv)])
     assert code == 2
+    assert not out_csv.exists()
+
+
+def test_bench_non_utf8_plan_exits_2_without_csv(tmp_path, capsys):
+    plan = _latin1_file(tmp_path / "plan.txt", SMALL_PLAN)
+    out_csv = tmp_path / "rows.csv"
+    code = main(["bench", "--plan", plan, "--out", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert plan in err and "utf-8" in err
     assert not out_csv.exists()
 
 

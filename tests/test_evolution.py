@@ -120,11 +120,21 @@ def test_init_population_contract():
     pop1 = init_population(sys_, cfg, np.random.default_rng(cfg.seed))
     pop2 = init_population(sys_, cfg, np.random.default_rng(cfg.seed))
     assert np.array_equal(pop1.states, pop2.states)
-    assert pop1.generation == 0
     assert np.all(pop1.states > -30.0) and np.all(pop1.states < 30.0)
     assert np.allclose(pop1.omegas, [0.5, 1.5], atol=0)
     for i in range(pop1.size):
         assert pop1.fitness[i] == residual_norm(sys_, pop1.states[i])
+
+
+def test_init_population_fixed_is_one_zero_slot_without_draws():
+    sys_ = _dominant_system(12, seed=4)
+    cfg = SolverConfig(variant=Variant.FIXED_GS_SR, seed=99, fixed_omega=1.3)
+    rng = np.random.default_rng(cfg.seed)
+    pop = init_population(sys_, cfg, rng)
+    assert np.array_equal(pop.states, np.zeros((1, 12)))
+    assert pop.omegas.tolist() == [1.3]
+    assert pop.fitness.tolist() == [residual_norm(sys_, np.zeros(12))]
+    assert rng.bit_generator.state == np.random.default_rng(cfg.seed).bit_generator.state
 
 
 # ----------------------------------------------------------- time variant
@@ -252,9 +262,7 @@ def test_stochastic_matrix_rows_sum_to_one():
 def _evaluated_population(sys_, states, omegas):
     states = np.array(states, dtype=np.float64)
     fitness = np.array([residual_norm(sys_, s) for s in states])
-    return Population(
-        states=states, fitness=fitness, omegas=np.array(omegas), generation=0
-    )
+    return Population(states=states, fitness=fitness, omegas=np.array(omegas))
 
 
 def test_recombine_identity_matrix_keeps_states():
@@ -263,7 +271,6 @@ def test_recombine_identity_matrix_keeps_states():
     assert np.array_equal(out.states, pop.states)
     assert out.fitness is None
     assert np.array_equal(out.omegas, pop.omegas)
-    assert out.generation == pop.generation
 
 
 def test_recombine_averaging_matrix():
@@ -424,6 +431,49 @@ def test_fixed_variant_starts_from_zero_vector():
     res = run_solver(sys_, cfg)
     assert res.final_residual == pytest.approx(float(np.linalg.norm(sys_.b)), rel=1e-15)
     assert np.array_equal(res.best_state, np.zeros(6))
+
+
+# Off-diagonal dominant: every relaxed sweep at omega = 0.9 diverges on it.
+_DIVERGENT = LinearSystem(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "case, sys_, max_generations",
+    [
+        ("converged", _dominant_system(10, seed=42), 10000),
+        ("diverged", _DIVERGENT, 10000),
+        ("capped", _dominant_system(10, seed=42), 5),
+    ],
+)
+@pytest.mark.parametrize(
+    "variant, step",
+    [
+        (Variant.FIXED_JACOBI_SR, jacobi_sr_step),
+        (Variant.FIXED_GS_SR, gauss_seidel_sr_step),
+    ],
+)
+def test_fixed_variant_matches_plain_loop(variant, step, case, sys_, max_generations):
+    cfg = SolverConfig(
+        variant=variant, seed=0, fixed_omega=0.9, max_generations=max_generations
+    )
+    x = np.zeros(sys_.n)
+    trace = [(0, float(np.linalg.norm(sys_.a @ x - sys_.b)))]
+    converged = trace[0][1] < cfg.threshold
+    diverged = False
+    while not (converged or diverged) and len(trace) <= cfg.max_generations:
+        x = step(sys_, x, cfg.fixed_omega)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = float(np.linalg.norm(sys_.a @ x - sys_.b))
+        trace.append((len(trace), res))
+        converged = res < cfg.threshold
+        diverged = not converged and not res <= cfg.divergence_bound
+
+    out = run_solver(sys_, cfg)
+    assert (out.converged, out.diverged) == (case == "converged", case == "diverged")
+    assert (out.converged, out.diverged) == (converged, diverged)
+    assert out.generations == len(trace) - 1
+    assert repr(out.trace) == repr(trace)
+    assert out.best_state.tobytes() == x.tobytes()
 
 
 def test_run_determinism_bit_identical():

@@ -6,7 +6,6 @@ from relaxsolve import (
     explicit_operator,
     gauss_seidel_sr_step,
     jacobi_sr_step,
-    matvec,
 )
 
 SYS2 = LinearSystem(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
@@ -109,7 +108,7 @@ def test_sweep_equals_operator_over_random_draws():
         for method, step in steps.items():
             op = explicit_operator(sys_, omega, method)
             direct = step(sys_, x, omega)
-            via_op = matvec(op.h, x) + op.v
+            via_op = op.h @ x + op.v
             assert np.max(np.abs(direct - via_op)) <= 1e-10
 
 
@@ -123,6 +122,12 @@ def test_steps_are_affine_in_x(step, alpha):
     mixed = step(sys_, alpha * x + (1 - alpha) * y, omega)
     combo = alpha * step(sys_, x, omega) + (1 - alpha) * step(sys_, y, omega)
     assert np.max(np.abs(mixed - combo)) <= 1e-9
+
+
+@pytest.mark.parametrize("step", [jacobi_sr_step, gauss_seidel_sr_step])
+def test_steps_reject_wrong_length_state(step):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        step(SYS2, np.ones(3), 1.0)
 
 
 def test_unknown_method_rejected():

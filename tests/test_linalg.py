@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relaxsolve import LinearSystem, SingularMatrixError, direct_solve, matvec, residual_norm
+from relaxsolve import LinearSystem, SingularMatrixError, direct_solve, residual_norm
 
 
 def _random_dominant(n, seed, diag=None):
@@ -67,16 +67,10 @@ def test_triangle_decomposition_reconstructs_exactly():
     assert np.all(np.tril(up) == 0.0)
 
 
-def test_matvec_matches_numpy():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(6, 6))
-    x = rng.normal(size=6)
-    assert np.allclose(matvec(a, x), a @ x, rtol=0, atol=0)
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matvec(np.eye(3), np.ones(2))
+def test_residual_norm_rejects_wrong_length_state():
+    sys_ = LinearSystem(np.eye(3), np.ones(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        residual_norm(sys_, np.ones(2))
 
 
 def test_residual_norm_known_value():

@@ -56,6 +56,21 @@ def test_zero_spanning_diagonals_are_kept_away_from_zero(pid):
     assert np.all((sys_.diag > -50.0) & (sys_.diag < 50.0))
 
 
+def test_tiny_positive_diagonal_interval_is_kept_above_floor():
+    # about a tenth of this interval lies below DIAG_FLOOR = 1e-12; those
+    # entries are redrawn instead of failing LinearSystem's check
+    spec = ProblemSpec(
+        id="custom",
+        n=300,
+        seed=5,
+        diag_rule=UniformRule(1e-13, 1e-11),
+        offdiag_rule=ConstRule(0.0),
+        rhs_rule=ConstRule(1.0),
+    )
+    sys_ = generate_problem(spec)
+    assert np.all((sys_.diag >= 1e-12) & (sys_.diag < 1e-11))
+
+
 def test_p9_diagonal_resampling_and_ranges():
     sys_ = generate_problem(family_spec("P9", 300, seed=4))
     assert np.all(np.abs(sys_.diag) >= 1.0)
@@ -219,6 +234,8 @@ def test_parse_error_reports_line_number():
         ("id=custom\nn=5\nseed=0\ndiag=nonsense:1\noffdiag=uniform:0,1\nrhs=const:1", "unknown rule kind"),
         ("id=custom\nn=5\nseed=0\ndiag=formula:p9\noffdiag=uniform:0,1\nrhs=const:1", "unknown formula"),
         ("id=custom\nn=5\nseed=0\ndiag=const:0\noffdiag=uniform:0,1\nrhs=const:1", "nonzero"),
+        ("id=custom\nn=5\nseed=0\ndiag=uniform:-1,1\noffdiag=uniform:0,1\nrhs=const:1", "never reaches"),
+        ("id=custom\nn=5\nseed=0\ndiag=uniform:1e-14,1e-13\noffdiag=uniform:0,1\nrhs=const:1", "never reaches"),
         ("id=P1\nn=0\nseed=0", "positive integer"),
         ("id=P1\nn=5\nseed=-1", "unsigned 64-bit"),
         ("id=P1\nn=5\nseed=0\nrhs=", "empty value"),
