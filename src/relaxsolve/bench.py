@@ -11,6 +11,7 @@ of a text label, so results are invariant under reordering of the plan.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
@@ -76,8 +77,12 @@ def mix_seed(base_seed: int, label: str) -> int:
 
 
 def problem_hash(sys: LinearSystem) -> int:
-    """64-bit FNV-1a over the raw float64 bytes of A then b."""
-    return fnv1a64(sys.a.tobytes() + sys.b.tobytes())
+    """64-bit BLAKE2b digest of the raw float64 bytes of A (row-major) then b.
+
+    The digest is read as a big-endian unsigned integer.
+    """
+    digest = hashlib.blake2b(sys.a.tobytes() + sys.b.tobytes(), digest_size=8)
+    return int.from_bytes(digest.digest(), "big")
 
 
 @dataclass(frozen=True)

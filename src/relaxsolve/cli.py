@@ -182,13 +182,16 @@ def _cmd_solve(args) -> int:
     except OSError as exc:
         return _fail(f"cannot read {args.problem}: {exc.strerror or exc}", 3)
 
-    cfg = SolverConfig(
-        variant=Variant(args.variant),
-        threshold=args.threshold,
-        max_generations=args.max_gens,
-        seed=args.seed,
-        fixed_omega=args.omega,
-    )
+    try:
+        cfg = SolverConfig(
+            variant=Variant(args.variant),
+            threshold=args.threshold,
+            max_generations=args.max_gens,
+            seed=args.seed,
+            fixed_omega=args.omega,
+        )
+    except ValueError as exc:
+        return _fail(f"--omega: {exc}", 2)
     result = run_solver(system, cfg)
     print(
         f"generations={result.generations} "

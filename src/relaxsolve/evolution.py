@@ -12,18 +12,33 @@ Gauss-Seidel) and in whether the recombination stage runs at all. The
 ``FIXED_*`` baselines run through the same loop as a one-slot population
 that starts at the zero vector: with one slot there is no pair to adapt,
 and selection is skipped, so the relaxation factor stays constant.
+
+Each slot carries the matrix product its next sweep needs: ``A x`` for a
+Jacobi slot, ``U x`` for a Gauss-Seidel slot (U the strict upper
+triangle of A). Recombination maps the products with the same matrix as
+the states, and selection copies them with the states. Per generation a
+Jacobi slot then reads A once, for its residual ``A x' - b``, whose
+product ``A x'`` it carries on; a Gauss-Seidel slot reads the lower
+triangle in its forward substitution, the upper triangle for ``U x'``,
+and all of A for its residual. A Gauss-Seidel run holds one n-by-n work
+copy of A to solve in.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .iteration import gauss_seidel_sr_step, jacobi_sr_step
+from .iteration import (
+    gauss_seidel_sr_step,
+    gauss_seidel_work,
+    jacobi_sr_step,
+    upper_product,
+)
 from .linalg import LinearSystem, residual_norm
 
 __all__ = [
@@ -136,6 +151,13 @@ class SolverConfig:
             raise ValueError("seed must be nonnegative")
         if not self.init_lo < self.init_hi:
             raise ValueError("init_lo must be below init_hi")
+        # Neither relaxed sweep converges for a factor outside (0, 2): SOR
+        # by Kahan's bound, JOR because the eigenvalues of its iteration
+        # matrix I - w D^-1 A average 1 - w.
+        if not 0.0 < self.fixed_omega < 2.0:
+            raise ValueError(
+                f"fixed_omega must lie in the open interval (0, 2), got {self.fixed_omega!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -144,12 +166,16 @@ class Population:
 
     ``fitness`` is None while the states have been changed but not yet
     re-evaluated. Relaxation factors belong to slots, not to individuals:
-    selection copies states around but never moves omegas.
+    selection copies states around but never moves omegas. Row i of
+    ``products`` is the product slot i's next sweep reuses, ``A x_i``
+    (Jacobi) or ``U x_i`` (Gauss-Seidel); it is None until a sweep has
+    computed it.
     """
 
     states: np.ndarray
     fitness: np.ndarray | None
     omegas: np.ndarray
+    products: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -310,8 +336,10 @@ def recombine(pop: Population, r: np.ndarray) -> Population:
     """Replace every state by a convex combination of the parent states.
 
     ``r`` must be row-stochastic (each row sums to 1 within 1e-12);
-    offspring i is ``sum_j r_ij * state_j``. Slot omegas are untouched;
-    fitnesses are invalidated.
+    offspring i is ``sum_j r_ij * state_j``, and its carried product is
+    the same combination of the parents' products (the sweep's products
+    are linear in the state). Slot omegas are untouched; fitnesses are
+    invalidated.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (pop.size, pop.size):
@@ -321,27 +349,41 @@ def recombine(pop: Population, r: np.ndarray) -> Population:
         )
     if np.max(np.abs(r.sum(axis=1) - 1.0)) > 1e-12:
         raise ValueError("matrix rows must sum to 1 within 1e-12")
-    return replace(pop, states=r @ pop.states, fitness=None)
+    products = None if pop.products is None else r @ pop.products
+    return Population(r @ pop.states, None, pop.omegas, products)
 
 
 def mutate_and_evaluate(
-    pop: Population, sys: LinearSystem, variant: Variant
+    pop: Population,
+    sys: LinearSystem,
+    variant: Variant,
+    work: np.ndarray | None = None,
 ) -> Population:
     """One relaxed sweep per slot with its own omega, then re-evaluate.
 
-    The sweep is Jacobi or Gauss-Seidel according to the variant.
-    Non-finite states are propagated as-is; the run loop's divergence
-    check deals with them.
+    The sweep is Jacobi or Gauss-Seidel according to the variant, and
+    reuses the slot's carried product when there is one. Fitness is the
+    directly computed ``||A x' - b||``; the new carried products are
+    ``A x'`` (Jacobi, the residual's own product) or ``U x'``
+    (Gauss-Seidel). ``work`` is the run's ``gauss_seidel_work`` copy of
+    A; a Gauss-Seidel call without one makes its own. Non-finite states
+    are propagated as-is; the run loop's divergence check deals with them.
     """
-    step = jacobi_sr_step if variant.method == "jacobi" else gauss_seidel_sr_step
-    states = np.array(
-        [step(sys, pop.states[i], pop.omegas[i]) for i in range(pop.size)]
-    )
+    jacobi = variant.method == "jacobi"
+    if not jacobi and work is None:
+        work = gauss_seidel_work(sys)
+    carried = [None] * pop.size if pop.products is None else pop.products
+    states = np.empty_like(pop.states)
+    for i, (x, omega, product) in enumerate(zip(pop.states, pop.omegas, carried)):
+        if jacobi:
+            states[i] = jacobi_sr_step(sys, x, omega, ax=product)
+        else:
+            states[i] = gauss_seidel_sr_step(sys, x, omega, ux=product, work=work)
     with np.errstate(over="ignore", invalid="ignore"):
-        fitness = np.array(
-            [np.linalg.norm(sys.a @ s - sys.b) for s in states], dtype=np.float64
-        )
-    return replace(pop, states=states, fitness=fitness)
+        ax = np.array([sys.a @ s for s in states])
+        fitness = np.array([np.linalg.norm(r - sys.b) for r in ax])
+    products = ax if jacobi else np.array([upper_product(work, s) for s in states])
+    return Population(states, fitness, pop.omegas, products)
 
 
 def select_and_reproduce(pop: Population) -> Population:
@@ -350,17 +392,16 @@ def select_and_reproduce(pop: Population) -> Population:
     Ranking is by fitness with ties broken by lower slot index; survivor
     k occupies slots 2k and 2k+1. Slot omegas stay where they are, so
     the copies of one survivor run under different relaxation factors in
-    the next generation.
+    the next generation. Carried products move with their states.
     """
     if pop.fitness is None:
         raise ValueError("population must be evaluated before selection")
     if pop.size % 2 != 0:
         raise ValueError("population size must be even")
     order = np.argsort(pop.fitness, kind="stable")
-    survivors = order[: pop.size // 2]
-    states = np.repeat(pop.states[survivors], 2, axis=0)
-    fitness = np.repeat(pop.fitness[survivors], 2)
-    return replace(pop, states=states, fitness=fitness)
+    keep = np.repeat(order[: pop.size // 2], 2)
+    products = None if pop.products is None else pop.products[keep]
+    return Population(pop.states[keep], pop.fitness[keep], pop.omegas, products)
 
 
 def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
@@ -381,6 +422,7 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     params = cfg.adaptive
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(sys, cfg, rng)
+    work = gauss_seidel_work(sys) if variant.method == "gauss_seidel" else None
     best = float(pop.fitness.min())
     trace = [(0, best)]
     t = 0
@@ -393,7 +435,7 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
             r = make_stochastic_matrix(pop.size, rng)
             pop = recombine(pop, r)
             recombine_calls += 1
-        pop = mutate_and_evaluate(pop, sys, variant)
+        pop = mutate_and_evaluate(pop, sys, variant, work)
         omegas = pop.omegas.copy()
         for p in range(0, pop.size - 1, 2):
             omegas[p], omegas[p + 1] = adapt_pair(
@@ -405,7 +447,7 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
                 params,
                 rng,
             )
-        pop = replace(pop, omegas=omegas)
+        pop = Population(pop.states, pop.fitness, omegas, pop.products)
         if not variant.is_fixed:
             pop = select_and_reproduce(pop)
         t += 1

@@ -5,6 +5,13 @@ at ``omega = 1`` they reduce to textbook Jacobi / Gauss-Seidel, at
 ``omega = 0`` to the identity. ``explicit_operator`` builds the dense
 affine operator ``x -> H x + v`` realized by each step; it exists as a
 small-n equivalence oracle and is not used on hot paths.
+
+A step can be handed the matrix product of ``x`` that it needs, carried
+over from the previous generation: ``A x`` for Jacobi, ``U x`` (U the
+strict upper triangle) for Gauss-Seidel. Given it, a Jacobi step reads
+no matrix, and a Gauss-Seidel step reads only the lower triangle, in a
+forward substitution over a per-run work copy of A (``gauss_seidel_work``)
+whose diagonal it overwrites in place.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmv, dtrsv
 
 from .linalg import LinearSystem, _check_state
 
@@ -21,7 +29,9 @@ __all__ = [
     "Method",
     "explicit_operator",
     "gauss_seidel_sr_step",
+    "gauss_seidel_work",
     "jacobi_sr_step",
+    "upper_product",
 ]
 
 Method = Literal["jacobi", "gauss_seidel"]
@@ -34,34 +44,76 @@ class IterationOperator(NamedTuple):
     v: np.ndarray
 
 
-def jacobi_sr_step(sys: LinearSystem, x: np.ndarray, omega: float) -> np.ndarray:
+def jacobi_sr_step(
+    sys: LinearSystem, x: np.ndarray, omega: float, *, ax: np.ndarray | None = None
+) -> np.ndarray:
     """One relaxed Jacobi (JOR) step, all components from the old iterate.
 
     Computes ``x'_i = (1-w) x_i + (w / a_ii) (b_i - sum_{j != i} a_ij x_j)``
-    simultaneously for every component.
+    simultaneously for every component. ``ax`` is ``A x`` if the caller
+    already has it; otherwise the step computes it.
     """
     x = _check_state(sys, x)
     d = sys.diag
-    off = sys.a @ x - d * x
+    if ax is None:
+        ax = sys.a @ x
+    off = ax - d * x
     return (1.0 - omega) * x + omega * (sys.b - off) / d
 
 
+def gauss_seidel_work(sys: LinearSystem) -> np.ndarray:
+    """Writable work copy of ``sys.a`` for the Gauss-Seidel kernels.
+
+    Holds the strict triangles L and U of A with a zero diagonal, which
+    ``gauss_seidel_sr_step`` overwrites during a step and zeroes again
+    before it returns. The copy is C-ordered whatever the order of
+    ``sys.a``, so its transpose is a Fortran-ordered operand that the
+    BLAS wrappers take without copying n^2 entries on every call.
+    """
+    work = np.array(sys.a, order="C")
+    np.fill_diagonal(work, 0.0)
+    return work
+
+
+def upper_product(work: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``U x`` for the strict upper triangle U held in a work copy of A."""
+    # work.T is A^T in Fortran order; the transpose of its lower triangle is U.
+    return dtrmv(work.T, x, lower=1, trans=1)
+
+
 def gauss_seidel_sr_step(
-    sys: LinearSystem, x: np.ndarray, omega: float
+    sys: LinearSystem,
+    x: np.ndarray,
+    omega: float,
+    *,
+    ux: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """One relaxed Gauss-Seidel (SOR) step, a single forward sweep.
 
     Realizes ``x'_i = (1-w) x_i + (w / a_ii)
     (b_i - sum_{j<i} a_ij x'_j - sum_{j>i} a_ij x_j)`` for i = 1..n in
     order, as the forward substitution
-    ``(D + w L) x' = (1-w) D x + w (b - U x)``. No inverse is formed.
+    ``(D/w + L) x' = ((1-w)/w) D x + b - U x``. No inverse is formed.
+    ``work`` is a ``gauss_seidel_work`` copy of A to solve in and ``ux``
+    is ``U x``; either is made here when not given. At ``w = 0`` the
+    step is the identity.
     """
     x = _check_state(sys, x)
+    if omega == 0.0:
+        return x.copy()
+    if work is None:
+        work = gauss_seidel_work(sys)
+    if ux is None:
+        ux = upper_product(work, x)
     d = sys.diag
-    m = omega * sys.strict_lower
-    np.fill_diagonal(m, d)
-    rhs = (1.0 - omega) * d * x + omega * (sys.b - sys.strict_upper @ x)
-    return solve_triangular(m, rhs, lower=True, check_finite=False)
+    rhs = ((1.0 - omega) / omega) * d * x + sys.b - ux
+    diagonal = work.reshape(-1)[:: sys.n + 1]
+    diagonal[:] = d / omega
+    # The transpose of work.T's upper triangle is D/w + L.
+    out = dtrsv(work.T, rhs, lower=0, trans=1, overwrite_x=1)
+    diagonal[:] = 0.0
+    return out
 
 
 def explicit_operator(
@@ -78,12 +130,14 @@ def explicit_operator(
     n = sys.n
     d = sys.diag[:, None]
     eye = np.eye(n)
+    lower = np.tril(sys.a, -1)
+    upper = np.triu(sys.a, 1)
     if method == "jacobi":
-        h = (1.0 - omega) * eye - omega * (sys.strict_lower + sys.strict_upper) / d
+        h = (1.0 - omega) * eye - omega * (lower + upper) / d
         v = omega * sys.b / sys.diag
     elif method == "gauss_seidel":
-        m = eye + omega * sys.strict_lower / d
-        h = (1.0 - omega) * eye - omega * sys.strict_upper / d
+        m = eye + omega * lower / d
+        h = (1.0 - omega) * eye - omega * upper / d
         v = omega * sys.b / sys.diag
         h = solve_triangular(m, h, lower=True, unit_diagonal=True)
         v = solve_triangular(m, v, lower=True, unit_diagonal=True)

@@ -93,18 +93,6 @@ class LinearSystem:
         d.setflags(write=False)
         return d
 
-    @cached_property
-    def strict_lower(self) -> np.ndarray:
-        m = np.tril(self.a, -1)
-        m.setflags(write=False)
-        return m
-
-    @cached_property
-    def strict_upper(self) -> np.ndarray:
-        m = np.triu(self.a, 1)
-        m.setflags(write=False)
-        return m
-
 
 def _check_state(sys: LinearSystem, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)

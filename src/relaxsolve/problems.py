@@ -10,12 +10,15 @@ line-oriented ``key=value`` spec format.
 Diagonal interval rules are rejection-sampled until every diagonal
 entry has magnitude at least 1 if the interval spans zero (P3, P9, P11)
 and at least ``DIAG_FLOOR`` otherwise, since the iteration matrices need
-an invertible diagonal. A spec whose diagonal interval cannot reach that
-magnitude is rejected.
+an invertible diagonal. A spec whose diagonal interval reaches that
+magnitude on less than 1% of its width is rejected, since the sampler
+would redraw nearly forever. Rule values must be finite, and so must
+an interval's width.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -40,12 +43,20 @@ __all__ = [
 # Zero-spanning diagonal intervals are resampled until |a_ii| >= this.
 DIAG_MIN_ABS = 1.0
 
+# Smallest share of a diagonal interval's width the sampler may accept
+# from; below it the expected number of redraws per entry exceeds 100.
+_DIAG_MIN_SHARE = 0.01
+
 
 @dataclass(frozen=True)
 class ConstRule:
     """Every entry equals ``value``."""
 
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant rule needs a finite value, got {self.value!r}")
 
     def __str__(self) -> str:
         return f"const:{self.value!r}"
@@ -61,6 +72,10 @@ class UniformRule:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"uniform rule needs lo < hi, got ({self.lo}, {self.hi})")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(
+                f"uniform rule needs a finite width, got ({self.lo}, {self.hi})"
+            )
 
     def __str__(self) -> str:
         return f"uniform:{self.lo!r},{self.hi!r}"
@@ -137,6 +152,13 @@ def _diag_min_abs(rule: UniformRule) -> float:
     return DIAG_MIN_ABS if rule.spans_zero else DIAG_FLOOR
 
 
+def _share_reaching(rule: UniformRule, m: float) -> float:
+    """Fraction of the interval's width where ``|v| >= m`` (``m > 0``)."""
+    below = max(0.0, min(rule.hi, -m) - rule.lo)
+    above = max(0.0, rule.hi - max(rule.lo, m))
+    return (below + above) / (rule.hi - rule.lo)
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A fully specified random linear system: id, size, rules, seed."""
@@ -161,10 +183,17 @@ class ProblemSpec:
         if isinstance(self.diag_rule, UniformRule):
             lo, hi = self.diag_rule.lo, self.diag_rule.hi
             min_abs = _diag_min_abs(self.diag_rule)
-            if not max(abs(lo), abs(hi)) > min_abs:
+            share = _share_reaching(self.diag_rule, min_abs)
+            if share == 0.0:
                 raise ValueError(
                     f"diagonal interval ({lo!r}, {hi!r}) never reaches "
                     f"the required magnitude {min_abs!r}"
+                )
+            if share < _DIAG_MIN_SHARE:
+                raise ValueError(
+                    f"diagonal interval ({lo!r}, {hi!r}) reaches the required "
+                    f"magnitude {min_abs!r} on only {share:.2g} of its width, "
+                    f"under the {_DIAG_MIN_SHARE:.0%} the sampler needs"
                 )
         if isinstance(self.diag_rule, FormulaRule) and self.diag_rule.slot != "diag":
             raise ValueError("diagonal formula must target the diag slot")
@@ -265,6 +294,14 @@ _RULE_KEYS = {"diag": "diag_rule", "offdiag": "offdiag_rule", "rhs": "rhs_rule"}
 _SPEC_KEYS = ("id", "n", "seed", "diag", "offdiag", "rhs")
 
 
+def _make_rule(kind: type, lineno: int | None, *values: float) -> Rule:
+    """Build a rule, reporting its own validation error at ``lineno``."""
+    try:
+        return kind(*values)
+    except ValueError as exc:
+        raise SpecParseError(str(exc), lineno) from None
+
+
 def _parse_rule(key: str, value: str, lineno: int | None) -> Rule:
     kind, sep, rest = value.partition(":")
     if not sep:
@@ -275,9 +312,10 @@ def _parse_rule(key: str, value: str, lineno: int | None) -> Rule:
         )
     if kind == "const":
         try:
-            return ConstRule(float(rest))
+            value = float(rest)
         except ValueError:
             raise SpecParseError(f"invalid constant {rest!r}", lineno) from None
+        return _make_rule(ConstRule, lineno, value)
     if kind == "uniform":
         parts = rest.split(",")
         if len(parts) != 2:
@@ -288,9 +326,7 @@ def _parse_rule(key: str, value: str, lineno: int | None) -> Rule:
             lo, hi = float(parts[0]), float(parts[1])
         except ValueError:
             raise SpecParseError(f"malformed interval {rest!r}", lineno) from None
-        if not lo < hi:
-            raise SpecParseError(f"interval needs lo < hi, got {rest!r}", lineno)
-        return UniformRule(lo, hi)
+        return _make_rule(UniformRule, lineno, lo, hi)
     if kind == "formula":
         name, sep, slot = rest.partition("-")
         if sep and slot != key:

@@ -8,6 +8,7 @@ from relaxsolve import (
     BenchPlan,
     BenchRow,
     ConstRule,
+    LinearSystem,
     ProblemSpec,
     SolverConfig,
     UniformRule,
@@ -69,6 +70,10 @@ def test_problem_hash_is_content_sensitive():
     s3 = generate_problem(_small_problem(seed=2))
     assert problem_hash(s1) == problem_hash(s2)
     assert problem_hash(s1) != problem_hash(s3)
+    # BLAKE2b-64 of A's row-major bytes then b's, whatever A's memory order.
+    a, b = np.array([[2.0, 1.0], [0.5, 2.0]]), np.array([3.0, 3.0])
+    assert problem_hash(LinearSystem(a, b)) == 0xEBE1A7462C6FBB7B
+    assert problem_hash(LinearSystem(np.asfortranarray(a), b)) == 0xEBE1A7462C6FBB7B
 
 
 # ---------------------------------------------------------------- plan runs

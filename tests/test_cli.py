@@ -115,7 +115,9 @@ def test_malformed_problem_file_exits_2(tmp_path, capsys):
     assert "line 1" in err
 
 
-@pytest.mark.parametrize("diag", ["uniform:-1,1", "uniform:1e-14,1e-13"])
+@pytest.mark.parametrize(
+    "diag", ["uniform:-1,1", "uniform:1e-14,1e-13", "uniform:-1,1.000000001"]
+)
 def test_unreachable_diagonal_interval_exits_2(tmp_path, capsys, diag):
     spec_file = tmp_path / "prob.txt"
     spec_file.write_text(CUSTOM_SPEC.replace("diag=const:50", f"diag={diag}"))
@@ -140,6 +142,15 @@ def test_non_utf8_problem_file_exits_2(tmp_path, capsys):
 
 def test_bad_seed_value_exits_2(capsys):
     assert main(["solve", "--problem", "P1", "--variant", "JBTVA", "--seed", "-4"]) == 2
+
+
+@pytest.mark.parametrize("omega", ["inf", "nan", "0", "-1", "2"])
+def test_relaxation_factor_outside_open_interval_exits_2(capsys, omega):
+    argv = ["solve", "--problem", "P1", "--n", "20", "--variant", "FIXED_GS_SR"]
+    assert main(argv + [f"--omega={omega}"]) == 2
+    captured = capsys.readouterr()
+    assert "--omega" in captured.err and "(0, 2)" in captured.err
+    assert captured.out == ""
 
 
 def test_bench_end_to_end(tmp_path, capsys):

@@ -13,7 +13,9 @@ from relaxsolve import (
     adapt_pair,
     basic_time_variant,
     direct_solve,
+    family_spec,
     gauss_seidel_sr_step,
+    generate_problem,
     init_population,
     init_relaxation_factors,
     jacobi_sr_step,
@@ -25,6 +27,9 @@ from relaxsolve import (
     select_and_reproduce,
 )
 from relaxsolve.evolution import OMEGA_MARGIN, adapt_pair_from_steps
+from relaxsolve.iteration import gauss_seidel_work
+
+EPS = np.finfo(np.float64).eps
 
 PARAMS = AdaptiveParams()
 SYS2 = LinearSystem(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
@@ -86,6 +91,9 @@ def test_solver_config_validation():
         SolverConfig(variant=Variant.JBTVA, seed=-1)
     with pytest.raises(ValueError):
         SolverConfig(variant=Variant.JBTVA, init_lo=30.0, init_hi=-30.0)
+    for omega in (math.inf, -math.inf, math.nan, 0.0, -1.0, 2.0, 2.5):
+        with pytest.raises(ValueError, match="fixed_omega"):
+            SolverConfig(variant=Variant.FIXED_GS_SR, fixed_omega=omega)
     # generation cap of zero is legal (a run that may not iterate)
     assert SolverConfig(variant=Variant.JBTVA, max_generations=0).max_generations == 0
     # variant given as plain string is coerced
@@ -314,6 +322,7 @@ def test_mutation_matches_single_sweep():
             out_g.states[i], gauss_seidel_sr_step(SYS2, pop.states[i], 1.0)
         )
         assert out_j.fitness[i] == residual_norm(SYS2, out_j.states[i])
+        assert out_g.fitness[i] == residual_norm(SYS2, out_g.states[i])
 
 
 def test_mutation_equal_states_different_omegas_diverge():
@@ -382,6 +391,41 @@ def test_selection_requires_evaluation():
         select_and_reproduce(pop)
 
 
+# ------------------------------------------------------- carried products
+
+@pytest.mark.parametrize("variant", [Variant.JBTVA, Variant.GSBTVA])
+def test_carried_products_match_recomputation(variant):
+    # P7's A is Fortran-ordered. Rows of ``products`` are A x (Jacobi) or
+    # U x (Gauss-Seidel); after every stage they must equal a fresh
+    # product of the states up to the rounding of n-term sums.
+    sys_ = generate_problem(family_spec("P7", 30, 0))
+    m = sys_.a if variant.method == "jacobi" else np.triu(sys_.a, 1)
+    work = gauss_seidel_work(sys_) if variant.method == "gauss_seidel" else None
+    cfg = SolverConfig(variant=variant, seed=4, population_size=4)
+    rng = np.random.default_rng(cfg.seed)
+    pop = init_population(sys_, cfg, rng)
+    assert pop.products is None
+
+    def check(pop, scale):
+        err = np.max(np.abs(pop.products - pop.states @ m.T))
+        assert err <= 8 * sys_.n * EPS * scale
+
+    for _ in range(4):
+        scale = np.max(np.abs(pop.states) @ np.abs(m).T)
+        pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
+        if pop.products is not None:
+            check(pop, scale)
+        pop = mutate_and_evaluate(pop, sys_, variant, work)
+        scale = np.max(np.abs(pop.states) @ np.abs(m).T)
+        check(pop, scale)
+        if variant.method == "jacobi":
+            assert np.array_equal(pop.products, [sys_.a @ s for s in pop.states])
+        pop = select_and_reproduce(pop)
+        check(pop, scale)
+    if work is not None:
+        assert not np.diagonal(work).any()  # every step zeroes what it wrote
+
+
 # --------------------------------------------------------------- full runs
 
 def test_preconverged_population_stops_at_zero_generations():
@@ -407,9 +451,7 @@ def test_adaptive_variants_solve_dominant_system(variant):
     assert res.converged
     assert res.final_residual < 1e-7
     assert np.linalg.norm(res.best_state - x_star) <= 1e-5
-    assert res.final_residual == pytest.approx(
-        residual_norm(sys_, res.best_state), rel=1e-12
-    )
+    assert res.final_residual == residual_norm(sys_, res.best_state)
 
 
 @pytest.mark.parametrize(
@@ -420,6 +462,7 @@ def test_fixed_variants_solve_dominant_system(variant):
     x_star = direct_solve(sys_)
     res = run_solver(sys_, SolverConfig(variant=variant, seed=0, fixed_omega=1.0))
     assert res.converged and res.final_residual < 1e-7
+    assert res.final_residual == residual_norm(sys_, res.best_state)
     assert np.linalg.norm(res.best_state - x_star) <= 1e-5
     assert res.recombine_calls == 0
     assert res.final_omegas == [1.0]

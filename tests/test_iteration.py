@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from relaxsolve import (
+    FAMILY_IDS,
     LinearSystem,
     explicit_operator,
+    family_spec,
     gauss_seidel_sr_step,
+    generate_problem,
     jacobi_sr_step,
 )
+
+EPS = np.finfo(np.float64).eps
 
 SYS2 = LinearSystem(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
 
@@ -110,6 +115,18 @@ def test_sweep_equals_operator_over_random_draws():
             direct = step(sys_, x, omega)
             via_op = op.h @ x + op.v
             assert np.max(np.abs(direct - via_op)) <= 1e-10
+    # Every family at n = 30 over an omega grid; P7's A is Fortran-ordered.
+    # Tolerance: rounding of n-term sums, relative to the terms' magnitude.
+    rng = np.random.default_rng(17)
+    for pid in FAMILY_IDS:
+        sys_ = generate_problem(family_spec(pid, 30, 1))
+        x = rng.normal(size=30) * 3.0
+        for omega in (0.3, 0.9, 1.0, 1.5, 1.9):
+            for method, step in steps.items():
+                op = explicit_operator(sys_, omega, method)
+                scale = np.max(np.abs(op.h) @ np.abs(x) + np.abs(op.v))
+                err = np.max(np.abs(step(sys_, x, omega) - (op.h @ x + op.v)))
+                assert err <= 8 * sys_.n * EPS * scale, (pid, omega, method)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.3, 1.7])

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from relaxsolve import LinearSystem, SingularMatrixError, direct_solve, residual_norm
+from relaxsolve import (
+    LinearSystem,
+    SingularMatrixError,
+    direct_solve,
+    family_spec,
+    generate_problem,
+    residual_norm,
+)
+from relaxsolve.iteration import gauss_seidel_work
 
 
 def _random_dominant(n, seed, diag=None):
@@ -58,13 +66,15 @@ def test_arrays_are_copied_and_read_only():
 
 
 def test_triangle_decomposition_reconstructs_exactly():
-    sys_ = _random_dominant(9, seed=11)
-    d = sys_.diag
-    lo = sys_.strict_lower
-    up = sys_.strict_upper
-    assert np.array_equal(np.diag(d) + lo + up, sys_.a)
-    assert np.all(np.triu(lo) == 0.0)
-    assert np.all(np.tril(up) == 0.0)
+    # The Gauss-Seidel work copy holds both strict triangles and a zero
+    # diagonal, C-ordered even where A is not (P7's A is Fortran-ordered).
+    p7 = generate_problem(family_spec("P7", 9, 0))
+    assert p7.a.flags.f_contiguous and not p7.a.flags.c_contiguous
+    for sys_ in (_random_dominant(9, seed=11), p7):
+        work = gauss_seidel_work(sys_)
+        assert work.flags.c_contiguous and work.flags.writeable
+        assert np.all(np.diagonal(work) == 0.0)
+        assert np.array_equal(np.diag(sys_.diag) + work, sys_.a)
 
 
 def test_residual_norm_rejects_wrong_length_state():

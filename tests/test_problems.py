@@ -236,6 +236,10 @@ def test_parse_error_reports_line_number():
         ("id=custom\nn=5\nseed=0\ndiag=const:0\noffdiag=uniform:0,1\nrhs=const:1", "nonzero"),
         ("id=custom\nn=5\nseed=0\ndiag=uniform:-1,1\noffdiag=uniform:0,1\nrhs=const:1", "never reaches"),
         ("id=custom\nn=5\nseed=0\ndiag=uniform:1e-14,1e-13\noffdiag=uniform:0,1\nrhs=const:1", "never reaches"),
+        ("id=custom\nn=5\nseed=0\ndiag=uniform:-1,1.000000001\noffdiag=uniform:0,1\nrhs=const:1", "under the 1%"),
+        ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=uniform:-1e308,1e308\nrhs=const:1", "finite width"),
+        ("id=custom\nn=5\nseed=0\ndiag=const:1e309\noffdiag=uniform:0,1\nrhs=const:1", "finite value"),
+        ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=const:nan\nrhs=const:1", "finite value"),
         ("id=P1\nn=0\nseed=0", "positive integer"),
         ("id=P1\nn=5\nseed=-1", "unsigned 64-bit"),
         ("id=P1\nn=5\nseed=0\nrhs=", "empty value"),
