@@ -11,7 +11,6 @@ import os
 import numpy as np
 
 from relaxsolve import (
-    AdaptiveParams,
     SolverConfig,
     Variant,
     direct_solve,
@@ -30,7 +29,7 @@ def main():
     spec = family_spec("P1", 200, seed=0)
     system = generate_problem(spec)
     truth = direct_solve(system)
-    start = init_relaxation_factors(2, AdaptiveParams())
+    start = init_relaxation_factors(2)
     print(f"problem P1, n={system.n}; population of 2, factors start at "
           f"{np.round(start, 3).tolist()}")
     print()

@@ -16,7 +16,6 @@ from .bench import (
     write_csv,
 )
 from .evolution import (
-    AdaptiveParams,
     Population,
     RunResult,
     SolverConfig,
@@ -59,7 +58,6 @@ from .problems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveParams",
     "BenchPlan",
     "BenchRow",
     "ConstRule",

@@ -265,32 +265,22 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _RESIDUAL_FLOOR = 1e-16
 
 
-def _normalize_traces(trace) -> list[tuple[str, list[tuple[int, float]]]]:
-    if isinstance(trace, Mapping):
-        items = [(str(k), list(v)) for k, v in trace.items()]
-    elif trace and isinstance(trace[0], tuple) and len(trace[0]) == 2 and isinstance(
-        trace[0][1], (list, tuple)
-    ):
-        items = [(str(k), list(v)) for k, v in trace]
-    else:
-        items = [("residual", list(trace))]
+def emit_trace_svg(
+    traces: Mapping[str, Sequence[tuple[int, float]]], sink, title: str = ""
+) -> None:
+    """Write a standalone SVG chart of residual norm versus generation.
+
+    ``traces`` maps a label to a list of ``(generation, residual)`` pairs;
+    each trace becomes one polyline on a log10 residual axis (zero
+    residuals are clamped to 1e-16 for display), with a swatch legend in
+    the mapping's order. An empty mapping or trace is an error.
+    """
+    items = [(str(label), list(pts)) for label, pts in traces.items()]
     if not items:
         raise ValueError("no traces to plot")
     for label, pts in items:
         if not pts:
             raise ValueError(f"trace {label!r} is empty")
-    return items
-
-
-def emit_trace_svg(trace, sink, title: str = "") -> None:
-    """Write a standalone SVG chart of residual norm versus generation.
-
-    ``trace`` is either one list of ``(generation, residual)`` pairs or
-    a mapping/sequence of ``(label, trace)`` entries; each trace becomes
-    one polyline on a log10 residual axis (zero residuals are clamped to
-    1e-16 for display) with a swatch legend. Empty input is an error.
-    """
-    items = _normalize_traces(trace)
     xs_all = [g for _, pts in items for g, _ in pts]
     ys_all = [
         math.log10(max(res, _RESIDUAL_FLOOR)) for _, pts in items for _, res in pts
@@ -458,9 +448,10 @@ def parse_bench_plan(text: str) -> BenchPlan:
                 f"invalid real for key 'threshold': {fields['threshold']!r}",
                 lines["threshold"],
             ) from None
-        if not threshold > 0.0:
-            raise SpecParseError("threshold must be positive", lines["threshold"])
-        cfg = replace(cfg, threshold=threshold)
+        try:
+            cfg = replace(cfg, threshold=threshold)
+        except ValueError as exc:
+            raise SpecParseError(str(exc), lines["threshold"]) from None
     if "max_generations" in fields:
         cfg = replace(
             cfg,

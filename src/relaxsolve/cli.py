@@ -50,16 +50,6 @@ def _bounded_int(lo: int, hi: float, what: str):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid real {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     u64 = _bounded_int(0, 2**64, "an unsigned 64-bit integer")
     positive_int = _bounded_int(1, math.inf, "a positive integer")
@@ -103,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--threshold",
-        type=_positive_float,
+        type=float,
         default=1e-7,
         help="residual threshold (default 1e-7)",
     )
@@ -191,7 +181,8 @@ def _cmd_solve(args) -> int:
             fixed_omega=args.omega,
         )
     except ValueError as exc:
-        return _fail(f"--omega: {exc}", 2)
+        option = "--threshold" if str(exc).startswith("threshold") else "--omega"
+        return _fail(f"{option}: {exc}", 2)
     result = run_solver(system, cfg)
     print(
         f"generations={result.generations} "
@@ -218,11 +209,11 @@ def _cmd_bench(args) -> int:
     except OSError as exc:
         return _fail(f"cannot read {args.plan}: {exc.strerror or exc}", 3)
 
-    traces: dict[str, list[tuple[str, list]]] = {}
+    traces: dict[str, dict[str, list]] = {}
 
     def collect(row, result, r):
         if args.traces and r == 0:
-            traces.setdefault(row.problem_id, []).append((row.variant, result.trace))
+            traces.setdefault(row.problem_id, {})[row.variant] = result.trace
 
     rows = run_benchmark(plan, on_result=collect)
 
@@ -239,10 +230,10 @@ def _cmd_bench(args) -> int:
     if args.traces:
         try:
             os.makedirs(args.traces, exist_ok=True)
-            for pid, labeled in traces.items():
+            for pid, by_variant in traces.items():
                 path = os.path.join(args.traces, f"{pid}.svg")
                 with open(path, "w", encoding="utf-8") as fh:
-                    emit_trace_svg(labeled, fh, title=pid)
+                    emit_trace_svg(by_variant, fh, title=pid)
         except OSError as exc:
             return _fail(f"cannot write traces to {args.traces}: {exc.strerror or exc}", 3)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,7 +42,6 @@ from .iteration import (
 from .linalg import LinearSystem, residual_norm
 
 __all__ = [
-    "AdaptiveParams",
     "OMEGA_MARGIN",
     "Population",
     "RunResult",
@@ -60,11 +59,31 @@ __all__ = [
     "select_and_reproduce",
 ]
 
-# Adapted relaxation factors are clamped this far inside the open interval.
+# Constants of the time-variant adaptation rule. E_X scales the signed
+# step that pulls a loser's relaxation factor toward the winner's; E_Y
+# scales the nonnegative step that pushes the winner's factor away from
+# the loser, toward the interval boundary on its own side. LAM sets how
+# fast both steps decay with the generation counter (it must exceed 10).
+E_X = 0.125
+E_Y = 0.03125
+LAM = 50.0
+
+# All relaxation factors live in the open interval (OMEGA_LO, OMEGA_HI);
+# adapted ones are clamped OMEGA_MARGIN inside it.
+OMEGA_LO = 0.0
+OMEGA_HI = 2.0
 OMEGA_MARGIN = 1e-6
 
 # Standard deviation of the Gaussian noise behind the adaptation steps.
 NOISE_SD = 0.25
+
+# Adaptive variants draw their initial states uniformly from this box.
+INIT_LO = -30.0
+INIT_HI = 30.0
+
+# A run whose best residual exceeds this bound (or turns non-finite)
+# stops as diverged.
+DIVERGENCE_BOUND = 1e12
 
 
 class Variant(str, Enum):
@@ -94,33 +113,6 @@ class Variant(str, Enum):
 
 
 @dataclass(frozen=True)
-class AdaptiveParams:
-    """Constants of the time-variant adaptation rule.
-
-    ``e_x`` scales the signed step that pulls a loser's relaxation factor
-    toward the winner's; ``e_y`` scales the nonnegative step that pushes
-    the winner's factor away from the loser, toward the interval boundary
-    on its own side. ``lam`` controls how fast both steps decay with the
-    generation counter and must exceed 10. ``omega_lo``/``omega_hi``
-    bound the open interval all factors live in.
-    """
-
-    e_x: float = 0.125
-    e_y: float = 0.03125
-    lam: float = 50.0
-    omega_lo: float = 0.0
-    omega_hi: float = 2.0
-
-    def __post_init__(self):
-        if self.e_x <= 0.0 or self.e_y <= 0.0:
-            raise ValueError("e_x and e_y must be positive")
-        if not self.lam > 10.0:
-            raise ValueError("lam must be greater than 10")
-        if not self.omega_lo < self.omega_hi:
-            raise ValueError("omega_lo must be below omega_hi")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Full configuration of one solver run."""
 
@@ -128,12 +120,8 @@ class SolverConfig:
     population_size: int = 2
     threshold: float = 1e-7
     max_generations: int = 10000
-    divergence_bound: float = 1e12
     seed: int = 0
-    adaptive: AdaptiveParams = field(default_factory=AdaptiveParams)
     fixed_omega: float = 1.0
-    init_lo: float = -30.0
-    init_hi: float = 30.0
 
     def __post_init__(self):
         variant = Variant(self.variant)
@@ -141,16 +129,15 @@ class SolverConfig:
         if not variant.is_fixed:
             if self.population_size < 2 or self.population_size % 2 != 0:
                 raise ValueError("population_size must be even and at least 2")
-        if not self.threshold > 0.0:
-            raise ValueError("threshold must be positive")
+        # An infinite threshold would count every run as converged.
+        if not 0.0 < self.threshold < math.inf:
+            raise ValueError(
+                f"threshold must be positive and finite, got {self.threshold!r}"
+            )
         if self.max_generations < 0:
             raise ValueError("max_generations must be nonnegative")
-        if not self.divergence_bound > 0.0:
-            raise ValueError("divergence_bound must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not self.init_lo < self.init_hi:
-            raise ValueError("init_lo must be below init_hi")
         # Neither relaxed sweep converges for a factor outside (0, 2): SOR
         # by Kahan's bound, JOR because the eigenvalues of its iteration
         # matrix I - w D^-1 A average 1 - w.
@@ -210,16 +197,17 @@ class RunResult:
     recombine_calls: int
 
 
-def init_relaxation_factors(n_pop: int, params: AdaptiveParams) -> np.ndarray:
+def init_relaxation_factors(n_pop: int) -> np.ndarray:
     """Evenly spaced midpoint factors covering the open omega interval.
 
-    With spacing ``d = (hi - lo) / n_pop`` the factors are
-    ``lo + d/2, lo + 3d/2, ...``; all lie strictly inside the interval.
+    With spacing ``d = (OMEGA_HI - OMEGA_LO) / n_pop`` the factors are
+    ``OMEGA_LO + d/2, OMEGA_LO + 3d/2, ...``; all lie strictly inside the
+    interval.
     """
     if n_pop < 1:
         raise ValueError("n_pop must be at least 1")
-    d = (params.omega_hi - params.omega_lo) / n_pop
-    return params.omega_lo + d * (np.arange(n_pop) + 0.5)
+    d = (OMEGA_HI - OMEGA_LO) / n_pop
+    return OMEGA_LO + d * (np.arange(n_pop) + 0.5)
 
 
 def init_population(
@@ -228,16 +216,17 @@ def init_population(
     """The evaluated generation-0 population of a run.
 
     Adaptive variants get ``cfg.population_size`` states drawn uniformly
-    from the init box, with midpoint omegas. Fixed variants get one slot
-    at the zero vector with omega ``cfg.fixed_omega`` and draw nothing.
+    from ``[INIT_LO, INIT_HI)``, with midpoint omegas. Fixed variants get
+    one slot at the zero vector with omega ``cfg.fixed_omega`` and draw
+    nothing.
     """
     if cfg.variant.is_fixed:
         states = np.zeros((1, sys.n))
         omegas = np.array([cfg.fixed_omega], dtype=np.float64)
     else:
         n_pop = cfg.population_size
-        states = rng.uniform(cfg.init_lo, cfg.init_hi, size=(n_pop, sys.n))
-        omegas = init_relaxation_factors(n_pop, cfg.adaptive)
+        states = rng.uniform(INIT_LO, INIT_HI, size=(n_pop, sys.n))
+        omegas = init_relaxation_factors(n_pop)
     fitness = np.array([residual_norm(sys, s) for s in states])
     return Population(states=states, fitness=fitness, omegas=omegas)
 
@@ -262,7 +251,6 @@ def adapt_pair_from_steps(
     err_y: float,
     p_pull: float,
     p_push: float,
-    params: AdaptiveParams,
 ) -> tuple[float, float]:
     """Deterministic core of the pairwise adaptation rule.
 
@@ -280,17 +268,17 @@ def adapt_pair_from_steps(
     """
     if err_x == err_y:
         return omega_x, omega_y
-    lo = params.omega_lo + OMEGA_MARGIN
-    hi = params.omega_hi - OMEGA_MARGIN
+    lo = OMEGA_LO + OMEGA_MARGIN
+    hi = OMEGA_HI - OMEGA_MARGIN
     if err_x > err_y:
         loser, winner = omega_x, omega_y
     else:
         loser, winner = omega_y, omega_x
     new_loser = (0.5 + p_pull) * (omega_x + omega_y)
     if winner >= loser:
-        new_winner = winner + p_push * (params.omega_hi - winner)
+        new_winner = winner + p_push * (OMEGA_HI - winner)
     else:
-        new_winner = winner + p_push * (params.omega_lo - winner)
+        new_winner = winner + p_push * (OMEGA_LO - winner)
     new_loser = min(max(new_loser, lo), hi)
     new_winner = min(max(new_winner, lo), hi)
     if err_x > err_y:
@@ -304,24 +292,21 @@ def adapt_pair(
     err_x: float,
     err_y: float,
     t: int,
-    params: AdaptiveParams,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Stochastic pairwise adaptation of two relaxation factors.
 
     Draws two Gaussians with mean 0 and standard deviation ``NOISE_SD``
     (the first for the pull step, the second for the push step), scales
-    them by ``e_x`` / ``e_y`` and the time-variant decay at generation
+    them by ``E_X`` / ``E_Y`` and the time-variant decay at generation
     ``t``, and applies ``adapt_pair_from_steps``.
     """
     g_pull = rng.normal(0.0, NOISE_SD)
     g_push = rng.normal(0.0, NOISE_SD)
-    t_omega = basic_time_variant(t, params.lam)
-    p_pull = params.e_x * g_pull * t_omega
-    p_push = params.e_y * abs(g_push) * t_omega
-    return adapt_pair_from_steps(
-        omega_x, omega_y, err_x, err_y, p_pull, p_push, params
-    )
+    t_omega = basic_time_variant(t, LAM)
+    p_pull = E_X * g_pull * t_omega
+    p_push = E_Y * abs(g_push) * t_omega
+    return adapt_pair_from_steps(omega_x, omega_y, err_x, err_y, p_pull, p_push)
 
 
 def make_stochastic_matrix(n_pop: int, rng: np.random.Generator) -> np.ndarray:
@@ -409,9 +394,9 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
 
     Terminates when the best residual drops below ``cfg.threshold``
     (converged), the generation counter reaches ``cfg.max_generations``,
-    or the best residual exceeds ``cfg.divergence_bound`` or turns
-    non-finite (diverged). All randomness comes from one PCG64 generator
-    seeded with ``cfg.seed``; the draw order is: initial states, then per
+    or the best residual exceeds ``DIVERGENCE_BOUND`` or turns non-finite
+    (diverged). All randomness comes from one PCG64 generator seeded with
+    ``cfg.seed``; the draw order is: initial states, then per
     generation a stochastic matrix (recombining variants only) followed
     by two Gaussians per adapted pair. Fixed variants draw nothing.
     Identical configurations produce identical traces.
@@ -419,7 +404,6 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     if not isinstance(cfg, SolverConfig):
         raise ValueError("cfg must be a SolverConfig")
     variant = cfg.variant
-    params = cfg.adaptive
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(sys, cfg, rng)
     work = gauss_seidel_work(sys) if variant.method == "gauss_seidel" else None
@@ -444,7 +428,6 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
                 float(pop.fitness[p]),
                 float(pop.fitness[p + 1]),
                 t,
-                params,
                 rng,
             )
         pop = Population(pop.states, pop.fitness, omegas, pop.products)
@@ -455,7 +438,7 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
         trace.append((t, best))
         if best < cfg.threshold:
             converged = True
-        elif not best <= cfg.divergence_bound:
+        elif not best <= DIVERGENCE_BOUND:
             diverged = True
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     return RunResult(

@@ -35,8 +35,9 @@ from relaxsolve import (
 )
 from relaxsolve.bench import CSV_HEADER, mix_seed
 from relaxsolve.evolution import (
+    OMEGA_HI,
+    OMEGA_LO,
     OMEGA_MARGIN,
-    AdaptiveParams,
     Population,
     adapt_pair,
     basic_time_variant,
@@ -232,17 +233,16 @@ def test_criterion_7_order_of_magnitude_band(p1_bench):
 
 
 def test_criterion_8_invariant_suite():
-    params = AdaptiveParams()
     checks = {}
 
     # omega containment under adaptation
     rng = np.random.default_rng(99)
-    lo, hi = params.omega_lo + OMEGA_MARGIN, params.omega_hi - OMEGA_MARGIN
+    lo, hi = OMEGA_LO + OMEGA_MARGIN, OMEGA_HI - OMEGA_MARGIN
     contained = True
     for t in range(500):
         wx, wy = rng.uniform(lo, hi, size=2)
         ex, ey = rng.uniform(0.0, 10.0, size=2)
-        nx, ny = adapt_pair(wx, wy, ex, ey, t % 64, params, rng)
+        nx, ny = adapt_pair(wx, wy, ex, ey, t % 64, rng)
         contained &= lo <= nx <= hi and lo <= ny <= hi
     checks["omega-containment"] = contained
 
@@ -252,7 +252,7 @@ def test_criterion_8_invariant_suite():
 
     # equal errors adapt nothing
     checks["equal-error-noop"] = adapt_pair(
-        0.7, 1.2, 4.0, 4.0, 3, params, np.random.default_rng(1)
+        0.7, 1.2, 4.0, 4.0, 3, np.random.default_rng(1)
     ) == (0.7, 1.2)
 
     # selection never discards the best individual
@@ -263,7 +263,7 @@ def test_criterion_8_invariant_suite():
         states = srng.uniform(-30, 30, size=(4, 8))
         fit = np.array([residual_norm(sys_, s) for s in states])
         pop = Population(
-            states=states, fitness=fit, omegas=init_relaxation_factors(4, params)
+            states=states, fitness=fit, omegas=init_relaxation_factors(4)
         )
         dominance &= select_and_reproduce(pop).fitness.min() == fit.min()
     checks["selection-dominance"] = dominance
@@ -273,7 +273,7 @@ def test_criterion_8_invariant_suite():
     pop = Population(
         states=np.tile(x_star, (4, 1)),
         fitness=np.full(4, residual_norm(sys_, x_star)),
-        omegas=init_relaxation_factors(4, params),
+        omegas=init_relaxation_factors(4),
     )
     rec = recombine(pop, make_stochastic_matrix(4, np.random.default_rng(3)))
     checks["recombination-preserves-solution"] = all(

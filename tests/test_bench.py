@@ -249,7 +249,7 @@ def _svg_counts(text):
 
 def test_svg_single_trace_single_polyline():
     buf = io.StringIO()
-    emit_trace_svg([(0, 100.0), (1, 10.0)], buf)
+    emit_trace_svg({"residual": [(0, 100.0), (1, 10.0)]}, buf)
     polylines, legend, texts = _svg_counts(buf.getvalue())
     assert len(polylines) == 1
     assert "generation" in texts and "log10 residual" in texts
@@ -268,7 +268,7 @@ def test_svg_two_labeled_traces_two_polylines_and_legend():
 
 def test_svg_clamps_zero_residuals():
     buf = io.StringIO()
-    emit_trace_svg([(0, 1.0), (1, 0.0)], buf)
+    emit_trace_svg({"residual": [(0, 1.0), (1, 0.0)]}, buf)
     ET.fromstring(buf.getvalue())
     assert "points=" in buf.getvalue()
 
@@ -283,7 +283,7 @@ def test_svg_escapes_labels():
 
 def test_svg_empty_trace_rejected():
     with pytest.raises(ValueError):
-        emit_trace_svg([], io.StringIO())
+        emit_trace_svg({}, io.StringIO())
     with pytest.raises(ValueError):
         emit_trace_svg({"x": []}, io.StringIO())
 
@@ -339,6 +339,7 @@ def test_parse_plan_inline_custom_problem():
         ("problems=P1\nrepetitions=0", "positive integer"),
         ("problems=P1\nthreshold=zero", "invalid real"),
         ("problems=P1\nthreshold=-1e-7", "must be positive"),
+        ("problems=P1\nthreshold=inf", "line 2: threshold must be positive and finite"),
     ],
 )
 def test_parse_plan_rejections(text, fragment):

@@ -153,6 +153,15 @@ def test_relaxation_factor_outside_open_interval_exits_2(capsys, omega):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("threshold", ["inf", "nan", "0", "-1e-7"])
+def test_threshold_not_positive_and_finite_exits_2(capsys, threshold):
+    argv = ["solve", "--problem", "P1", "--n", "30", "--variant", "MJBTVA"]
+    assert main(argv + [f"--threshold={threshold}"]) == 2
+    captured = capsys.readouterr()
+    assert "--threshold" in captured.err and "positive and finite" in captured.err
+    assert captured.out == ""
+
+
 def test_bench_end_to_end(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_text(SMALL_PLAN)
