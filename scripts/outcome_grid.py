@@ -3,7 +3,8 @@
 The grid is every problem family at n = 30 and n = 200, under each
 variant, at each seed; the seed names both the family instance and the
 solver run, and the fixed variants run at their default omega. Per run it
-prints the generations, ``converged``, ``diverged``, and 16-hex BLAKE2b
+prints the generations, ``converged``, ``diverged``, ``final_residual``
+(a JSON number that reads back as the same float64), and 16-hex BLAKE2b
 digests of ``repr(trace)``, the bytes of ``best_state`` and
 ``repr(final_omegas)``. Run it on two source checkouts and diff the
 output to see whether a change moved any run:
@@ -16,6 +17,12 @@ output to see whether a change moved any run:
 output is one JSON list with one run per line; a count of converged,
 capped and diverged runs goes to stderr. With the default seeds the grid
 is 11 x 2 x 6 x 2 = 264 runs and takes a few seconds.
+
+A change in how fitness is computed (say, a residual derived from the
+sweep's own products instead of recomputed from A) moves the ``trace``
+digest of every affected run without moving its outcome; compare
+generations, termination, ``final_residual`` and ``best_state`` to see
+whether the runs themselves moved.
 """
 
 import argparse
@@ -63,6 +70,7 @@ def main(argv=None) -> int:
                         "generations": res.generations,
                         "converged": res.converged,
                         "diverged": res.diverged,
+                        "final_residual": res.final_residual,
                         "trace": _digest(repr(res.trace).encode()),
                         "best_state": _digest(res.best_state.tobytes()),
                         "final_omegas": _digest(repr(res.final_omegas).encode()),

@@ -373,6 +373,17 @@ _PLAN_KEYS = ("problems", "variants", "repetitions", "base_seed", "threshold",
 _DEFAULT_VARIANTS = ("JBTVA", "GSBTVA", "MJBTVA", "MGSBTVA")
 
 
+def _name_list(fields, lines, key: str, allowed, what: str) -> list[str]:
+    """The comma-separated names under ``key``, each in ``allowed`` once."""
+    names = [name.strip() for name in fields[key].split(",")]
+    for k, name in enumerate(names):
+        if name not in allowed:
+            raise SpecParseError(f"unknown {what} {name!r}", lines[key])
+        if name in names[:k]:
+            raise SpecParseError(f"repeated {what} {name!r}", lines[key])
+    return names
+
+
 def parse_bench_plan(text: str) -> BenchPlan:
     """Parse a benchmark plan from the shared ``key=value`` text format.
 
@@ -381,7 +392,8 @@ def parse_bench_plan(text: str) -> BenchPlan:
     spec (``id=``, ``diag=``, ...) define one problem inline. Optional
     plan keys: ``variants`` (comma list, default the four adaptive
     variants), ``repetitions`` (default 10), ``base_seed`` (default 0),
-    ``threshold`` and ``max_generations`` (solver defaults).
+    ``threshold`` and ``max_generations`` (solver defaults). A problem or
+    variant named twice is an error.
     """
     fields, lines = _scan_kv(text, _PLAN_KEYS + _SPEC_KEYS)
 
@@ -401,12 +413,8 @@ def parse_bench_plan(text: str) -> BenchPlan:
         n = 200
         if "n" in fields:
             n = _parse_int(fields, lines, "n", 1, 2**62, "a positive integer")
-        specs = []
-        for pid in fields["problems"].split(","):
-            pid = pid.strip()
-            if pid not in FAMILY_IDS:
-                raise SpecParseError(f"unknown id {pid!r}", lines["problems"])
-            specs.append(family_spec(pid, n, seed=0))
+        pids = _name_list(fields, lines, "problems", FAMILY_IDS, "id")
+        specs = [family_spec(pid, n, seed=0) for pid in pids]
     elif "id" in fields:
         prob_fields = {k: v for k, v in fields.items() if k in _SPEC_KEYS}
         prob_fields.setdefault("n", "200")
@@ -415,18 +423,10 @@ def parse_bench_plan(text: str) -> BenchPlan:
     else:
         raise SpecParseError("plan needs either problems=... or an id=... block")
 
+    names = _DEFAULT_VARIANTS
     if "variants" in fields:
-        variants = []
-        for name in fields["variants"].split(","):
-            name = name.strip()
-            try:
-                variants.append(Variant(name))
-            except ValueError:
-                raise SpecParseError(
-                    f"unknown variant {name!r}", lines["variants"]
-                ) from None
-    else:
-        variants = [Variant(v) for v in _DEFAULT_VARIANTS]
+        names = _name_list(fields, lines, "variants", [v.value for v in Variant], "variant")
+    variants = [Variant(name) for name in names]
 
     repetitions = 10
     if "repetitions" in fields:

@@ -17,11 +17,13 @@ Each slot carries the matrix product its next sweep needs: ``A x`` for a
 Jacobi slot, ``U x`` for a Gauss-Seidel slot (U the strict upper
 triangle of A). Recombination maps the products with the same matrix as
 the states, and selection copies them with the states. Per generation a
-Jacobi slot then reads A once, for its residual ``A x' - b``, whose
-product ``A x'`` it carries on; a Gauss-Seidel slot reads the lower
-triangle in its forward substitution, the upper triangle for ``U x'``,
-and all of A for its residual. A Gauss-Seidel run holds one n-by-n work
-copy of A to solve in.
+slot then reads A once. A Jacobi slot reads it for its residual
+``A x' - b``, whose product ``A x'`` it carries on. A Gauss-Seidel slot
+reads the lower triangle in its forward substitution and the upper one
+for ``U x'``, and derives its residual from the sweep's own products.
+Its trace entries are such derived values, except a confirmed
+convergence and the last entry, which are direct residuals. A
+Gauss-Seidel run holds one n-by-n work copy of A to solve in.
 """
 
 from __future__ import annotations
@@ -179,11 +181,12 @@ class RunResult:
     """Outcome of one solver run.
 
     ``trace`` holds one ``(generation, best_residual)`` pair per
-    generation starting at 0; ``elapsed_ms`` is wall time around the
-    iteration loop only. ``best_state`` is the candidate vector the
-    final residual belongs to. ``recombine_calls`` counts executed
-    recombination stages, which is zero for the modified variants and the
-    fixed baselines.
+    generation starting at 0. A Gauss-Seidel run's entries are derived
+    fitnesses, except a confirmed convergence and the last entry, which
+    are direct residuals. ``final_residual`` is the direct residual of
+    ``best_state``. ``elapsed_ms`` is wall time around the iteration loop
+    only. ``recombine_calls`` counts executed recombination stages, which
+    is zero for the modified variants and the fixed baselines.
     """
 
     generations: int
@@ -347,27 +350,33 @@ def mutate_and_evaluate(
     """One relaxed sweep per slot with its own omega, then re-evaluate.
 
     The sweep is Jacobi or Gauss-Seidel according to the variant, and
-    reuses the slot's carried product when there is one. Fitness is the
-    directly computed ``||A x' - b||``; the new carried products are
-    ``A x'`` (Jacobi, the residual's own product) or ``U x'``
-    (Gauss-Seidel). ``work`` is the run's ``gauss_seidel_work`` copy of
-    A; a Gauss-Seidel call without one makes its own. Non-finite states
-    are propagated as-is; the run loop's divergence check deals with them.
+    reuses the slot's carried product when there is one. A Jacobi slot's
+    fitness is the direct ``||A x' - b||`` and it carries ``A x'``. A
+    Gauss-Seidel slot carries ``U x'`` and derives its fitness, up to
+    rounding, as ``||((1-w)/w) D (x - x') + (U x' - U x)||`` (w in (0, 2)).
+    ``work`` is the run's ``gauss_seidel_work`` copy of A; a Gauss-Seidel
+    call without one makes its own. Non-finite states are propagated
+    as-is; the run loop's divergence check deals with them.
     """
     jacobi = variant.method == "jacobi"
     if not jacobi and work is None:
         work = gauss_seidel_work(sys)
     carried = [None] * pop.size if pop.products is None else pop.products
     states = np.empty_like(pop.states)
-    for i, (x, omega, product) in enumerate(zip(pop.states, pop.omegas, carried)):
-        if jacobi:
-            states[i] = jacobi_sr_step(sys, x, omega, ax=product)
-        else:
-            states[i] = gauss_seidel_sr_step(sys, x, omega, ux=product, work=work)
+    products = np.empty_like(pop.states)
+    fitness = np.empty(pop.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        ax = np.array([sys.a @ s for s in states])
-        fitness = np.array([np.linalg.norm(r - sys.b) for r in ax])
-    products = ax if jacobi else np.array([upper_product(work, s) for s in states])
+        for i, (x, omega, product) in enumerate(zip(pop.states, pop.omegas, carried)):
+            if jacobi:
+                states[i] = jacobi_sr_step(sys, x, omega, ax=product)
+                products[i] = sys.a @ states[i]
+                fitness[i] = np.linalg.norm(products[i] - sys.b)
+            else:
+                ux = upper_product(work, x) if product is None else product
+                states[i] = gauss_seidel_sr_step(sys, x, omega, ux=ux, work=work)
+                products[i] = upper_product(work, states[i])
+                r = ((1.0 - omega) / omega) * sys.diag * (x - states[i])
+                fitness[i] = np.linalg.norm(r + (products[i] - ux))
     return Population(states, fitness, pop.omegas, products)
 
 
@@ -393,8 +402,9 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     """Run one solver configuration to convergence, cap, or divergence.
 
     Terminates when the best residual drops below ``cfg.threshold``
-    (converged), the generation counter reaches ``cfg.max_generations``,
-    or the best residual exceeds ``DIVERGENCE_BOUND`` or turns non-finite
+    (converged; a derived Gauss-Seidel value must be confirmed by a direct
+    residual), the generation counter reaches ``cfg.max_generations``,
+    or the best fitness exceeds ``DIVERGENCE_BOUND`` or turns non-finite
     (diverged). All randomness comes from one PCG64 generator seeded with
     ``cfg.seed``; the draw order is: initial states, then per
     generation a stochastic matrix (recombining variants only) followed
@@ -406,7 +416,8 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     variant = cfg.variant
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(sys, cfg, rng)
-    work = gauss_seidel_work(sys) if variant.method == "gauss_seidel" else None
+    derived = variant.method == "gauss_seidel"
+    work = gauss_seidel_work(sys) if derived else None
     best = float(pop.fitness.min())
     trace = [(0, best)]
     t = 0
@@ -423,24 +434,23 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
         omegas = pop.omegas.copy()
         for p in range(0, pop.size - 1, 2):
             omegas[p], omegas[p + 1] = adapt_pair(
-                omegas[p],
-                omegas[p + 1],
-                float(pop.fitness[p]),
-                float(pop.fitness[p + 1]),
-                t,
-                rng,
+                omegas[p], omegas[p + 1], pop.fitness[p], pop.fitness[p + 1], t, rng
             )
         pop = Population(pop.states, pop.fitness, omegas, pop.products)
         if not variant.is_fixed:
             pop = select_and_reproduce(pop)
         t += 1
         best = float(pop.fitness.min())
+        if derived and best < cfg.threshold:
+            best = residual_norm(sys, pop.states[pop.best_index()])
         trace.append((t, best))
-        if best < cfg.threshold:
-            converged = True
-        elif not best <= DIVERGENCE_BOUND:
-            diverged = True
+        converged = best < cfg.threshold
+        diverged = not converged and not best <= DIVERGENCE_BOUND
     elapsed_ms = (time.perf_counter() - t0) * 1e3
+    if derived and not converged:
+        with np.errstate(over="ignore", invalid="ignore"):
+            best = residual_norm(sys, pop.states[pop.best_index()])
+        trace[-1] = (t, best)
     return RunResult(
         generations=t,
         elapsed_ms=elapsed_ms,

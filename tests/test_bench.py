@@ -332,6 +332,8 @@ def test_parse_plan_inline_custom_problem():
     [
         ("problems=P1\nwhatever=1", "unknown key"),
         ("problems=P1\nvariants=XBTVA", "unknown variant"),
+        ("problems=P1,P1", "line 1: repeated id 'P1'"),
+        ("problems=P1\nvariants=JBTVA,JBTVA", "line 2: repeated variant 'JBTVA'"),
         ("problems=P1\nid=P2\nn=5", "not both"),
         ("repetitions=3", "plan needs either"),
         ("problems=P0", "unknown id"),

@@ -192,6 +192,17 @@ def test_bench_bad_plan_exits_2_without_csv(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_bench_repeated_variant_exits_2_without_csv(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("problems=P1\nvariants=MJBTVA, MJBTVA\n")
+    out_csv = tmp_path / "rows.csv"
+    code = main(["bench", "--plan", str(plan), "--out", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 2" in err and "repeated variant 'MJBTVA'" in err
+    assert not out_csv.exists()
+
+
 def test_bench_non_utf8_plan_exits_2_without_csv(tmp_path, capsys):
     plan = _latin1_file(tmp_path / "plan.txt", SMALL_PLAN)
     out_csv = tmp_path / "rows.csv"

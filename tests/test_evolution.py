@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from relaxsolve import (
+    FAMILY_IDS,
     LinearSystem,
     Population,
     SolverConfig,
@@ -25,6 +26,7 @@ from relaxsolve import (
     run_solver,
     select_and_reproduce,
 )
+from relaxsolve import evolution
 from relaxsolve.evolution import (
     DIVERGENCE_BOUND,
     E_X,
@@ -41,6 +43,25 @@ EPS = np.finfo(np.float64).eps
 SYS2 = LinearSystem(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
 
 ADAPTIVE = [Variant.JBTVA, Variant.GSBTVA, Variant.MJBTVA, Variant.MGSBTVA]
+
+
+def _derived_fitness_bound(sys_, x, x_new, omega, ux):
+    """Rounding bound on a derived Gauss-Seidel fitness against the direct one.
+
+    The sweep from ``x`` (with carried ``ux``) gave ``x_new``; both sides
+    sum the terms of ``A x_new - b`` and ``((1-w)/w) D (x - x_new) +
+    (U x_new - ux)``, and the triangular solve's backward error is
+    ``n eps |D/w + L| |x_new|``.
+    """
+    d = np.abs(sys_.diag)
+    terms = (
+        np.abs(sys_.a) @ np.abs(x_new)
+        + np.abs(sys_.b)
+        + d * np.abs(x_new) / omega
+        + abs((1.0 - omega) / omega) * d * (np.abs(x) + np.abs(x_new))
+        + np.abs(ux)
+    )
+    return 8 * sys_.n * EPS * np.linalg.norm(terms)
 
 
 def _dominant_system(n, seed, diag=50.0):
@@ -310,7 +331,35 @@ def test_mutation_matches_single_sweep():
             out_g.states[i], gauss_seidel_sr_step(SYS2, pop.states[i], 1.0)
         )
         assert out_j.fitness[i] == residual_norm(SYS2, out_j.states[i])
-        assert out_g.fitness[i] == residual_norm(SYS2, out_g.states[i])
+        x, x_new = pop.states[i], out_g.states[i]
+        ux = np.triu(SYS2.a, 1) @ x
+        assert abs(out_g.fitness[i] - residual_norm(SYS2, x_new)) <= (
+            _derived_fitness_bound(SYS2, x, x_new, 1.0, ux)
+        )
+
+
+@pytest.mark.parametrize("pid", FAMILY_IDS)
+def test_derived_gauss_seidel_fitness_matches_direct_residual(pid):
+    # One slot per omega; the first round sweeps without carried
+    # products, the second with carried ones, the third with recombined.
+    sys_ = generate_problem(family_spec(pid, 30, seed=2))
+    rng = np.random.default_rng(17)
+    omegas = np.array([0.3, 0.9, 1.0, 1.5, 1.9])
+    pop = Population(rng.uniform(-30.0, 30.0, size=(5, 30)), None, omegas)
+    work = gauss_seidel_work(sys_)
+    for round_ in range(3):
+        out = mutate_and_evaluate(pop, sys_, Variant.MGSBTVA, work)
+        carried = pop.products
+        if carried is None:
+            carried = pop.states @ np.triu(sys_.a, 1).T
+        for x, x_new, omega, ux, fit in zip(
+            pop.states, out.states, omegas, carried, out.fitness
+        ):
+            bound = _derived_fitness_bound(sys_, x, x_new, omega, ux)
+            assert abs(fit - residual_norm(sys_, x_new)) <= bound
+        pop = out
+        if round_ == 1:
+            pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
 
 
 def test_mutation_equal_states_different_omegas_diverge():
@@ -489,12 +538,15 @@ def test_fixed_variant_matches_plain_loop(variant, step, case, sys_, max_generat
     )
     x = np.zeros(sys_.n)
     trace = [(0, float(np.linalg.norm(sys_.a @ x - sys_.b)))]
+    bounds = [0.0]
     converged = trace[0][1] < cfg.threshold
     diverged = False
     while not (converged or diverged) and len(trace) <= cfg.max_generations:
-        x = step(sys_, x, cfg.fixed_omega)
+        x_old, x = x, step(sys_, x, cfg.fixed_omega)
         with np.errstate(over="ignore", invalid="ignore"):
             res = float(np.linalg.norm(sys_.a @ x - sys_.b))
+            ux = np.triu(sys_.a, 1) @ x_old
+            bounds.append(_derived_fitness_bound(sys_, x_old, x, cfg.fixed_omega, ux))
         trace.append((len(trace), res))
         converged = res < cfg.threshold
         diverged = not converged and not res <= DIVERGENCE_BOUND
@@ -503,8 +555,61 @@ def test_fixed_variant_matches_plain_loop(variant, step, case, sys_, max_generat
     assert (out.converged, out.diverged) == (case == "converged", case == "diverged")
     assert (out.converged, out.diverged) == (converged, diverged)
     assert out.generations == len(trace) - 1
-    assert repr(out.trace) == repr(trace)
     assert out.best_state.tobytes() == x.tobytes()
+    assert out.trace[-1] == trace[-1]
+    if variant is Variant.FIXED_JACOBI_SR:
+        assert repr(out.trace) == repr(trace)
+    else:
+        # Gauss-Seidel entries between the first and the last are derived
+        # from the sweep's own products, not recomputed from A.
+        assert [g for g, _ in out.trace] == [g for g, _ in trace]
+        for (_, got), (_, want), bound in zip(out.trace, trace, bounds):
+            assert abs(got - want) <= bound
+
+
+@pytest.mark.parametrize("variant", [Variant.GSBTVA, Variant.MGSBTVA, Variant.FIXED_GS_SR])
+def test_derived_convergence_is_confirmed_directly(monkeypatch, variant):
+    # A derived fitness below the threshold only stops the run if the
+    # directly computed residual of the best state is below it too.
+    sys_ = _dominant_system(10, seed=42)
+    real = evolution.mutate_and_evaluate
+    faked = []
+
+    def under_report(pop, *args):
+        out = real(pop, *args)
+        if not faked:
+            faked.append(out.states[0].copy())
+            fitness = out.fitness.copy()
+            fitness[0] = 0.0
+            return Population(out.states, fitness, out.omegas, out.products)
+        return out
+
+    monkeypatch.setattr(evolution, "mutate_and_evaluate", under_report)
+    res = run_solver(sys_, SolverConfig(variant=variant, seed=5))
+    direct = residual_norm(sys_, faked[0])
+    assert direct >= 1e-7
+    assert res.trace[1][1] == direct
+    assert res.converged and res.generations > 1
+    assert res.final_residual == residual_norm(sys_, res.best_state) < 1e-7
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize(
+    "case, sys_, max_generations",
+    [
+        ("converged", _dominant_system(10, seed=42), 10000),
+        ("diverged", _DIVERGENT, 10000),
+        ("capped", _dominant_system(10, seed=42), 2),
+    ],
+)
+def test_final_residual_is_direct_residual_of_best_state(
+    variant, case, sys_, max_generations
+):
+    cfg = SolverConfig(variant=variant, seed=3, max_generations=max_generations)
+    res = run_solver(sys_, cfg)
+    assert (res.converged, res.diverged) == (case == "converged", case == "diverged")
+    assert res.final_residual == residual_norm(sys_, res.best_state)
+    assert res.trace[-1] == (res.generations, res.final_residual)
 
 
 # (generations, converged, diverged) per variant, in Variant order, at
