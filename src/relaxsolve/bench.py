@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,15 +22,12 @@ from xml.sax.saxutils import escape
 from .evolution import RunResult, SolverConfig, Variant, run_solver
 from .linalg import LinearSystem
 from .problems import (
-    FAMILY_IDS,
+    SPEC_KEYS,
     ProblemSpec,
     SpecParseError,
-    _SPEC_KEYS,
-    _build_spec,
-    _parse_int,
-    _scan_kv,
-    family_spec,
+    build_spec,
     generate_problem,
+    scan_kv,
 )
 
 __all__ = [
@@ -87,13 +84,18 @@ def problem_hash(sys: LinearSystem) -> int:
 
 @dataclass(frozen=True)
 class BenchPlan:
-    """What to run: problems x variants x repetitions, plus solver defaults."""
+    """What to run: problems x variants x repetitions.
+
+    Every run shares the plan's residual ``threshold`` and generation cap
+    ``max_generations``; ``SolverConfig`` checks their bounds.
+    """
 
     problems: tuple[ProblemSpec, ...]
     variants: tuple[Variant, ...]
     repetitions: int = 10
     base_seed: int = 0
-    solver_defaults: SolverConfig | None = None
+    threshold: float = 1e-7
+    max_generations: int = 10000
 
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
@@ -105,13 +107,14 @@ class BenchPlan:
         if not self.variants:
             raise ValueError("plan needs at least one variant")
         if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
+            raise ValueError("repetitions must be a positive integer")
         if not 0 <= self.base_seed < 2**64:
             raise ValueError("base_seed must be an unsigned 64-bit integer")
-        if self.solver_defaults is None:
-            object.__setattr__(
-                self, "solver_defaults", SolverConfig(variant=self.variants[0])
-            )
+        SolverConfig(
+            self.variants[0],
+            threshold=self.threshold,
+            max_generations=self.max_generations,
+        )
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,12 @@ def run_benchmark(
             for r in range(plan.repetitions):
                 sys, h = instances[r]
                 run_seed = mix_seed(plan.base_seed, f"{spec.id}|{variant.value}|{r}")
-                cfg = replace(plan.solver_defaults, variant=variant, seed=run_seed)
+                cfg = SolverConfig(
+                    variant,
+                    threshold=plan.threshold,
+                    max_generations=plan.max_generations,
+                    seed=run_seed,
+                )
                 result = run_solver(sys, cfg)
                 row = BenchRow(
                     problem_id=spec.id,
@@ -368,16 +376,18 @@ def emit_trace_svg(
     sink.write("\n".join(out) + "\n")
 
 
-_PLAN_KEYS = ("problems", "variants", "repetitions", "base_seed", "threshold",
-              "max_generations")
+# Plan values the parser only converts; BenchPlan checks their bounds.
+_PLAN_VALUES = (("repetitions", int, "integer"), ("base_seed", int, "integer"),
+                ("threshold", float, "real"), ("max_generations", int, "integer"))
+_PLAN_KEYS = ("problems", "variants") + tuple(key for key, _, _ in _PLAN_VALUES)
 _DEFAULT_VARIANTS = ("JBTVA", "GSBTVA", "MJBTVA", "MGSBTVA")
 
 
-def _name_list(fields, lines, key: str, allowed, what: str) -> list[str]:
-    """The comma-separated names under ``key``, each in ``allowed`` once."""
+def _name_list(fields, lines, key: str, what: str, allowed=None) -> list[str]:
+    """The comma-separated names under ``key``: none twice, each in ``allowed``."""
     names = [name.strip() for name in fields[key].split(",")]
     for k, name in enumerate(names):
-        if name not in allowed:
+        if allowed is not None and name not in allowed:
             raise SpecParseError(f"unknown {what} {name!r}", lines[key])
         if name in names[:k]:
             raise SpecParseError(f"repeated {what} {name!r}", lines[key])
@@ -387,83 +397,56 @@ def _name_list(fields, lines, key: str, allowed, what: str) -> list[str]:
 def parse_bench_plan(text: str) -> BenchPlan:
     """Parse a benchmark plan from the shared ``key=value`` text format.
 
-    Either ``problems=P1,P5,...`` names canonical families (sized by an
-    optional shared ``n``, default 200), or the problem keys of a single
-    spec (``id=``, ``diag=``, ...) define one problem inline. Optional
-    plan keys: ``variants`` (comma list, default the four adaptive
-    variants), ``repetitions`` (default 10), ``base_seed`` (default 0),
-    ``threshold`` and ``max_generations`` (solver defaults). A problem or
-    variant named twice is an error.
+    Either ``problems=P1,P5,...`` lists problem ids, or the keys of a
+    single problem spec (``id=``, ``diag=``, ...) define one problem
+    inline. Both forms take an optional ``n`` (default 200) and build
+    each problem with the spec parser's ``build_spec``, so rule keys need
+    ``id=custom`` either way. A plan takes no ``seed``: its instances are
+    seeded from ``base_seed``. Optional plan keys: ``variants`` (comma
+    list, default the four adaptive variants), ``repetitions`` (default
+    10), ``base_seed`` (default 0), ``threshold`` and
+    ``max_generations`` (shared by every run). A problem or variant named
+    twice is an error.
     """
-    fields, lines = _scan_kv(text, _PLAN_KEYS + _SPEC_KEYS)
-
+    fields, lines = scan_kv(text, _PLAN_KEYS + SPEC_KEYS)
+    if "seed" in fields:
+        raise SpecParseError(
+            "a plan takes no seed: instances are seeded from base_seed",
+            lines["seed"],
+        )
     if "problems" in fields and "id" in fields:
         raise SpecParseError(
             "use either problems=... or an inline id=... block, not both",
             lines["problems"],
         )
-
     if "problems" in fields:
-        for key in ("diag", "offdiag", "rhs", "seed"):
-            if key in fields:
-                raise SpecParseError(
-                    f"key {key!r} is only allowed with an inline id=custom block",
-                    lines[key],
-                )
-        n = 200
-        if "n" in fields:
-            n = _parse_int(fields, lines, "n", 1, 2**62, "a positive integer")
-        pids = _name_list(fields, lines, "problems", FAMILY_IDS, "id")
-        specs = [family_spec(pid, n, seed=0) for pid in pids]
+        ids = _name_list(fields, lines, "problems", "id")
+        lines["id"] = lines["problems"]
     elif "id" in fields:
-        prob_fields = {k: v for k, v in fields.items() if k in _SPEC_KEYS}
-        prob_fields.setdefault("n", "200")
-        prob_fields.setdefault("seed", "0")
-        specs = [_build_spec(prob_fields, lines)]
+        ids = [fields["id"]]
     else:
         raise SpecParseError("plan needs either problems=... or an id=... block")
+    # The spec seed is a placeholder: run_benchmark seeds every instance.
+    specs = [
+        build_spec({"n": "200", **fields, "id": pid, "seed": "0"}, lines)
+        for pid in ids
+    ]
 
     names = _DEFAULT_VARIANTS
     if "variants" in fields:
-        names = _name_list(fields, lines, "variants", [v.value for v in Variant], "variant")
-    variants = [Variant(name) for name in names]
+        names = _name_list(fields, lines, "variants", "variant", [v.value for v in Variant])
 
-    repetitions = 10
-    if "repetitions" in fields:
-        repetitions = _parse_int(
-            fields, lines, "repetitions", 1, 2**31, "a positive integer"
-        )
-    base_seed = 0
-    if "base_seed" in fields:
-        base_seed = _parse_int(
-            fields, lines, "base_seed", 0, 2**64, "an unsigned 64-bit integer"
-        )
-
-    cfg = SolverConfig(variant=variants[0])
-    if "threshold" in fields:
-        try:
-            threshold = float(fields["threshold"])
-        except ValueError:
-            raise SpecParseError(
-                f"invalid real for key 'threshold': {fields['threshold']!r}",
-                lines["threshold"],
-            ) from None
-        try:
-            cfg = replace(cfg, threshold=threshold)
-        except ValueError as exc:
-            raise SpecParseError(str(exc), lines["threshold"]) from None
-    if "max_generations" in fields:
-        cfg = replace(
-            cfg,
-            max_generations=_parse_int(
-                fields, lines, "max_generations", 0, 2**31, "a nonnegative integer"
-            ),
-        )
-
-    return BenchPlan(
-        problems=tuple(specs),
-        variants=tuple(variants),
-        repetitions=repetitions,
-        base_seed=base_seed,
-        solver_defaults=cfg,
-    )
+    values = {}
+    for key, kind, word in _PLAN_VALUES:
+        if key in fields:
+            try:
+                values[key] = kind(fields[key])
+            except ValueError:
+                raise SpecParseError(
+                    f"invalid {word} for key {key!r}: {fields[key]!r}", lines[key]
+                ) from None
+    try:
+        return BenchPlan(specs, names, **values)
+    except ValueError as exc:
+        # Each check's message starts with its field: report it at that line.
+        raise SpecParseError(str(exc), lines.get(str(exc).partition(" ")[0])) from None

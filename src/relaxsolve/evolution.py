@@ -7,11 +7,12 @@ own slot-resident relaxation factor), fitness evaluation (residual norm),
 pairwise stochastic adaptation of the relaxation factors with a step size
 that decays over generations, and truncation selection with duplication.
 
-The four adaptive variants differ only in the mutation sweep (Jacobi vs
-Gauss-Seidel) and in whether the recombination stage runs at all. The
-``FIXED_*`` baselines run through the same loop as a one-slot population
-that starts at the zero vector: with one slot there is no pair to adapt,
-and selection is skipped, so the relaxation factor stays constant.
+The four adaptive variants evolve two slots and differ only in the
+mutation sweep (Jacobi vs Gauss-Seidel) and in whether the recombination
+stage runs at all. The ``FIXED_*`` baselines run through the same loop
+as a one-slot population that starts at the zero vector: with one slot
+there is no pair to adapt, and selection is skipped, so the relaxation
+factor stays constant.
 
 Each slot carries the matrix product its next sweep needs: ``A x`` for a
 Jacobi slot, ``U x`` for a Gauss-Seidel slot (U the strict upper
@@ -119,18 +120,13 @@ class SolverConfig:
     """Full configuration of one solver run."""
 
     variant: Variant
-    population_size: int = 2
     threshold: float = 1e-7
     max_generations: int = 10000
     seed: int = 0
     fixed_omega: float = 1.0
 
     def __post_init__(self):
-        variant = Variant(self.variant)
-        object.__setattr__(self, "variant", variant)
-        if not variant.is_fixed:
-            if self.population_size < 2 or self.population_size % 2 != 0:
-                raise ValueError("population_size must be even and at least 2")
+        object.__setattr__(self, "variant", Variant(self.variant))
         # An infinite threshold would count every run as converged.
         if not 0.0 < self.threshold < math.inf:
             raise ValueError(
@@ -218,8 +214,8 @@ def init_population(
 ) -> Population:
     """The evaluated generation-0 population of a run.
 
-    Adaptive variants get ``cfg.population_size`` states drawn uniformly
-    from ``[INIT_LO, INIT_HI)``, with midpoint omegas. Fixed variants get
+    Adaptive variants get two states drawn uniformly from
+    ``[INIT_LO, INIT_HI)``, with midpoint omegas. Fixed variants get
     one slot at the zero vector with omega ``cfg.fixed_omega`` and draw
     nothing.
     """
@@ -227,9 +223,8 @@ def init_population(
         states = np.zeros((1, sys.n))
         omegas = np.array([cfg.fixed_omega], dtype=np.float64)
     else:
-        n_pop = cfg.population_size
-        states = rng.uniform(INIT_LO, INIT_HI, size=(n_pop, sys.n))
-        omegas = init_relaxation_factors(n_pop)
+        states = rng.uniform(INIT_LO, INIT_HI, size=(2, sys.n))
+        omegas = init_relaxation_factors(2)
     fitness = np.array([residual_norm(sys, s) for s in states])
     return Population(states=states, fitness=fitness, omegas=omegas)
 

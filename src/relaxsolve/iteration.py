@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrmv, dtrsv
 
-from .linalg import LinearSystem, _check_state
+from .linalg import LinearSystem, check_state
 
 __all__ = [
     "IterationOperator",
@@ -53,7 +53,7 @@ def jacobi_sr_step(
     simultaneously for every component. ``ax`` is ``A x`` if the caller
     already has it; otherwise the step computes it.
     """
-    x = _check_state(sys, x)
+    x = check_state(sys, x)
     d = sys.diag
     if ax is None:
         ax = sys.a @ x
@@ -99,7 +99,7 @@ def gauss_seidel_sr_step(
     is ``U x``; either is made here when not given. At ``w = 0`` the
     step is the identity.
     """
-    x = _check_state(sys, x)
+    x = check_state(sys, x)
     if omega == 0.0:
         return x.copy()
     if work is None:

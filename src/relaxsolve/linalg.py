@@ -96,7 +96,8 @@ class LinearSystem:
         return d
 
 
-def _check_state(sys: LinearSystem, x) -> np.ndarray:
+def check_state(sys: LinearSystem, x) -> np.ndarray:
+    """``x`` as a float64 array; ValueError unless its shape is ``(sys.n,)``."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (sys.n,):
         raise ValueError(
@@ -113,7 +114,7 @@ def residual_norm(sys: LinearSystem, x: np.ndarray) -> float:
     float
         ``||a x - b||_2``; zero exactly when ``x`` solves the system.
     """
-    x = _check_state(sys, x)
+    x = check_state(sys, x)
     return float(np.linalg.norm(sys.a @ x - sys.b))
 
 

@@ -291,7 +291,7 @@ class SpecParseError(ValueError):
 
 
 _RULE_KEYS = {"diag": "diag_rule", "offdiag": "offdiag_rule", "rhs": "rhs_rule"}
-_SPEC_KEYS = ("id", "n", "seed", "diag", "offdiag", "rhs")
+SPEC_KEYS = ("id", "n", "seed", "diag", "offdiag", "rhs")
 
 
 def _make_rule(kind: type, lineno: int | None, *values: float) -> Rule:
@@ -341,7 +341,7 @@ def _parse_rule(key: str, value: str, lineno: int | None) -> Rule:
     raise SpecParseError(f"unknown rule kind {kind!r}", lineno)
 
 
-def _scan_kv(
+def scan_kv(
     text: str, allowed_keys: tuple[str, ...]
 ) -> tuple[dict[str, str], dict[str, int | None]]:
     """Scan ``key=value`` lines into ``(fields, lines)``.
@@ -391,11 +391,13 @@ def _parse_int(
     return value
 
 
-def _build_spec(fields: dict[str, str], lines: dict[str, int | None]) -> ProblemSpec:
+def build_spec(fields: dict[str, str], lines: dict[str, int | None]) -> ProblemSpec:
     """Assemble a ProblemSpec from already-scanned key/value fields.
 
-    Values of present keys are validated first so malformed input is
-    reported with its line number even when other keys are missing.
+    Shared by the problem-spec and benchmark-plan parsers; keys outside
+    ``SPEC_KEYS`` are ignored. Values of present keys are validated first
+    so malformed input is reported with its line number even when other
+    keys are missing.
     """
     n = seed = None
     if "n" in fields:
@@ -439,7 +441,7 @@ def parse_problem_spec(text: str) -> ProblemSpec:
     built-in table and reject explicit rule keys. Errors carry the
     offending 1-based line number where one applies.
     """
-    return _build_spec(*_scan_kv(text, _SPEC_KEYS))
+    return build_spec(*scan_kv(text, SPEC_KEYS))
 
 
 def render_problem_spec(spec: ProblemSpec) -> str:

@@ -1,8 +1,10 @@
 import io
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaxsolve import (
     BenchPlan,
@@ -10,7 +12,6 @@ from relaxsolve import (
     ConstRule,
     LinearSystem,
     ProblemSpec,
-    SolverConfig,
     UniformRule,
     Variant,
     emit_trace_svg,
@@ -23,7 +24,7 @@ from relaxsolve import (
     write_csv,
 )
 from relaxsolve.bench import CSV_HEADER, fnv1a64, mix_seed
-from relaxsolve.problems import SpecParseError
+from relaxsolve.problems import SpecParseError, parse_problem_spec
 
 
 def _small_problem(n=12, seed=0):
@@ -138,7 +139,7 @@ def test_run_benchmark_survives_unsolvable_problem():
         variants=(Variant.JBTVA,),
         repetitions=2,
         base_seed=0,
-        solver_defaults=SolverConfig(variant=Variant.JBTVA, max_generations=50),
+        max_generations=50,
     )
     rows = run_benchmark(plan)
     assert len(rows) == 2
@@ -161,6 +162,10 @@ def test_bench_plan_validation():
         BenchPlan(
             problems=(_small_problem(),), variants=(Variant.JBTVA,), repetitions=0
         )
+    # SolverConfig's bounds on the two solver values apply to a plan.
+    for bad in ({"threshold": 0.0}, {"threshold": math.inf}, {"max_generations": -1}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            BenchPlan(problems=(_small_problem(),), variants=(Variant.JBTVA,), **bad)
 
 
 # --------------------------------------------------------------------- CSV
@@ -298,8 +303,8 @@ def test_parse_plan_families():
     assert all(p.n == 50 for p in plan.problems)
     assert plan.variants == (Variant.JBTVA, Variant.MJBTVA)
     assert plan.repetitions == 3 and plan.base_seed == 9
-    assert plan.solver_defaults.threshold == 1e-7
-    assert plan.solver_defaults.max_generations == 10000
+    assert plan.threshold == 1e-7
+    assert plan.max_generations == 10000
 
 
 def test_parse_plan_defaults():
@@ -316,15 +321,15 @@ def test_parse_plan_defaults():
 
 def test_parse_plan_inline_custom_problem():
     text = (
-        "id=custom\nn=16\nseed=3\ndiag=const:50\noffdiag=uniform:-1,1\n"
+        "id=custom\nn=16\ndiag=const:50\noffdiag=uniform:-1,1\n"
         "rhs=uniform:-5,5\nvariants=FIXED_GS_SR\nthreshold=1e-6\n"
         "max_generations=500\nrepetitions=2\n"
     )
     plan = parse_bench_plan(text)
-    assert plan.problems[0].n == 16 and plan.problems[0].seed == 3
+    assert plan.problems[0].n == 16
     assert plan.variants == (Variant.FIXED_GS_SR,)
-    assert plan.solver_defaults.threshold == 1e-6
-    assert plan.solver_defaults.max_generations == 500
+    assert plan.threshold == 1e-6
+    assert plan.max_generations == 500
 
 
 @pytest.mark.parametrize(
@@ -337,7 +342,10 @@ def test_parse_plan_inline_custom_problem():
         ("problems=P1\nid=P2\nn=5", "not both"),
         ("repetitions=3", "plan needs either"),
         ("problems=P0", "unknown id"),
-        ("problems=P1\nseed=5", "only allowed with an inline"),
+        ("problems=P1\nseed=5", "line 2: a plan takes no seed"),
+        ("id=P1\nseed=5", "instances are seeded from base_seed"),
+        ("problems=P1\ndiag=const:1", "line 2: key 'diag' is only allowed with id=custom"),
+        ("problems=P1\nn=0", "line 2: n must be a positive integer"),
         ("problems=P1\nrepetitions=0", "positive integer"),
         ("problems=P1\nthreshold=zero", "invalid real"),
         ("problems=P1\nthreshold=-1e-7", "must be positive"),
@@ -348,3 +356,49 @@ def test_parse_plan_rejections(text, fragment):
     with pytest.raises(SpecParseError) as err:
         parse_bench_plan(text)
     assert fragment in str(err.value)
+
+
+_KEYS = (
+    "id", "n", "seed", "diag", "offdiag", "rhs", "problems", "variants",
+    "repetitions", "base_seed", "threshold", "max_generations",
+)
+_EDGE_VALUES = (
+    "P1", "P7", "custom", "P1,P6", "MJBTVA", "JBTVA,FIXED_GS_SR", "0", "1",
+    "-1", "200", "1e-7", "1e400", "-1e400", "nan", "inf", "const:50",
+    "const:1e309", "const:nan", "uniform:-1,1", "uniform:-1e308,1e308",
+    "uniform:1e-14,1e-13", "formula:p7", "formula:p7-rhs", "formula:p8-diag",
+    "\uff11\uff12", str(2**64), str(2**62), str(2**64 - 1),
+)
+# Digits, signs, the format's own = # , : - characters, and characters
+# that str.splitlines() or int() treat specially.
+_CHARS = "019.,:-+eEinfa_=# \t\n\u2028\x85\uff11"
+
+
+_RULES = {"diag": "const:50", "offdiag": "uniform:-1,1", "rhs": "const:1"}
+_PLAN = {"variants": "MJBTVA", "repetitions": "2", "base_seed": "0",
+         "threshold": "1e-7", "max_generations": "10"}
+# A valid input per parser and plan form; edits replace, add or drop keys.
+_BASES = (
+    (parse_problem_spec, {"id": "custom", "n": "5", "seed": "0", **_RULES}),
+    (parse_bench_plan, {"problems": "P1,P6", "n": "5", **_PLAN}),
+    (parse_bench_plan, {"id": "custom", "n": "5", **_RULES, **_PLAN}),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(_KEYS),
+        st.one_of(st.none(), st.sampled_from(_EDGE_VALUES), st.text(_CHARS, max_size=8)),
+        max_size=3,
+    )
+)
+def test_parsers_raise_only_spec_parse_errors(edits):
+    # Whatever the known keys and edge values make of a valid input, both
+    # parsers either return or raise SpecParseError, never another error.
+    for parse, base in _BASES:
+        fields = {k: v for k, v in {**base, **edits}.items() if v is not None}
+        try:
+            parse("\n".join(f"{key}={value}" for key, value in fields.items()))
+        except SpecParseError:
+            pass

@@ -94,11 +94,7 @@ def test_variant_classification():
 
 def test_solver_config_validation():
     good = SolverConfig(variant=Variant.JBTVA)
-    assert good.population_size == 2 and good.threshold == 1e-7
-    with pytest.raises(ValueError):
-        SolverConfig(variant=Variant.JBTVA, population_size=3)
-    with pytest.raises(ValueError):
-        SolverConfig(variant=Variant.JBTVA, population_size=0)
+    assert good.threshold == 1e-7
     for threshold in (0.0, -1e-7, math.inf, math.nan):
         with pytest.raises(ValueError, match="threshold"):
             SolverConfig(variant=Variant.JBTVA, threshold=threshold)
@@ -438,9 +434,10 @@ def test_carried_products_match_recomputation(variant):
     sys_ = generate_problem(family_spec("P7", 30, 0))
     m = sys_.a if variant.method == "jacobi" else np.triu(sys_.a, 1)
     work = gauss_seidel_work(sys_) if variant.method == "gauss_seidel" else None
-    cfg = SolverConfig(variant=variant, seed=4, population_size=4)
-    rng = np.random.default_rng(cfg.seed)
-    pop = init_population(sys_, cfg, rng)
+    rng = np.random.default_rng(4)
+    # Four slots, so recombination mixes and selection drops two states.
+    states = rng.uniform(-30.0, 30.0, size=(4, sys_.n))
+    pop = _evaluated_population(sys_, states, init_relaxation_factors(4))
     assert pop.products is None
 
     def check(pop, scale):
@@ -683,14 +680,6 @@ def test_omegas_stay_contained_through_run():
     res = run_solver(sys_, SolverConfig(variant=Variant.JBTVA, seed=11))
     for w in res.final_omegas:
         assert OMEGA_LO + OMEGA_MARGIN <= w <= OMEGA_HI - OMEGA_MARGIN
-
-
-def test_population_size_four_works():
-    sys_ = _dominant_system(10, seed=30)
-    cfg = SolverConfig(variant=Variant.GSBTVA, seed=3, population_size=4)
-    res = run_solver(sys_, cfg)
-    assert res.converged
-    assert len(res.final_omegas) == 4
 
 
 def test_run_solver_rejects_non_config():
