@@ -23,6 +23,7 @@ from .bench import (
 from .evolution import SolverConfig, Variant, run_solver
 from .problems import (
     FAMILY_IDS,
+    N_LIMIT,
     SpecParseError,
     family_spec,
     generate_problem,
@@ -52,7 +53,7 @@ def _bounded_int(lo: int, hi: float, what: str):
 
 def build_parser() -> argparse.ArgumentParser:
     u64 = _bounded_int(0, 2**64, "an unsigned 64-bit integer")
-    positive_int = _bounded_int(1, math.inf, "a positive integer")
+    dimension = _bounded_int(1, N_LIMIT, f"a positive integer below {N_LIMIT}")
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Relaxed Jacobi/Gauss-Seidel solvers with self-adaptive "
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--n",
-        type=positive_int,
+        type=dimension,
         default=200,
         help="dimension for family ids (ignored for spec files; default 200)",
     )
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--problem", required=True, choices=list(FAMILY_IDS), help="family id"
     )
     generate.add_argument(
-        "--n", type=positive_int, default=200, help="dimension (default 200)"
+        "--n", type=dimension, default=200, help="dimension (default 200)"
     )
     generate.add_argument(
         "--seed", type=u64, default=0, help="generation seed (default 0)"
@@ -154,23 +155,29 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_problem(args) -> tuple[object, object]:
-    """Resolve --problem to (spec, system) for the solve subcommand."""
+def _too_large(where: str, n: int) -> int:
+    return _fail(f"{where}: not enough memory for a problem with n={n}", 2)
+
+
+def _load_spec(args):
+    """Resolve --problem to a ProblemSpec for the solve subcommand."""
     if args.problem in FAMILY_IDS:
-        spec = family_spec(args.problem, args.n, args.seed)
-    else:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            spec = parse_problem_spec(fh.read())
-    return spec, generate_problem(spec)
+        return family_spec(args.problem, args.n, args.seed)
+    with open(args.problem, "r", encoding="utf-8") as fh:
+        return parse_problem_spec(fh.read())
 
 
 def _cmd_solve(args) -> int:
     try:
-        spec, system = _load_problem(args)
+        spec = _load_spec(args)
     except (SpecParseError, UnicodeDecodeError) as exc:
         return _fail(f"{args.problem}: {exc}", 2)
     except OSError as exc:
         return _fail(f"cannot read {args.problem}: {exc.strerror or exc}", 3)
+    try:
+        system = generate_problem(spec)
+    except MemoryError:
+        return _too_large(args.problem, spec.n)
 
     try:
         cfg = SolverConfig(
@@ -215,7 +222,10 @@ def _cmd_bench(args) -> int:
         if args.traces and r == 0:
             traces.setdefault(row.problem_id, {})[row.variant] = result.trace
 
-    rows = run_benchmark(plan, on_result=collect)
+    try:
+        rows = run_benchmark(plan, on_result=collect)
+    except MemoryError:
+        return _too_large(args.plan, max(spec.n for spec in plan.problems))
 
     # Serialize fully in memory first so a failed write never leaves a
     # partial CSV behind.

@@ -42,7 +42,7 @@ from .iteration import (
     jacobi_sr_step,
     upper_product,
 )
-from .linalg import LinearSystem, residual_norm
+from .linalg import LinearSystem, residual_norm, vector_norm
 
 __all__ = [
     "OMEGA_MARGIN",
@@ -297,10 +297,10 @@ def adapt_pair(
     Draws two Gaussians with mean 0 and standard deviation ``NOISE_SD``
     (the first for the pull step, the second for the push step), scales
     them by ``E_X`` / ``E_Y`` and the time-variant decay at generation
-    ``t``, and applies ``adapt_pair_from_steps``.
+    ``t``, and applies ``adapt_pair_from_steps``. The two come from one
+    size-2 draw, which yields the same values as two scalar draws.
     """
-    g_pull = rng.normal(0.0, NOISE_SD)
-    g_push = rng.normal(0.0, NOISE_SD)
+    g_pull, g_push = rng.normal(0.0, NOISE_SD, size=2).tolist()
     t_omega = basic_time_variant(t, LAM)
     p_pull = E_X * g_pull * t_omega
     p_push = E_Y * abs(g_push) * t_omega
@@ -318,11 +318,11 @@ def make_stochastic_matrix(n_pop: int, rng: np.random.Generator) -> np.ndarray:
 def recombine(pop: Population, r: np.ndarray) -> Population:
     """Replace every state by a convex combination of the parent states.
 
-    ``r`` must be row-stochastic (each row sums to 1 within 1e-12);
-    offspring i is ``sum_j r_ij * state_j``, and its carried product is
-    the same combination of the parents' products (the sweep's products
-    are linear in the state). Slot omegas are untouched; fitnesses are
-    invalidated.
+    ``r`` must be row-stochastic: nonnegative, each row summing to 1
+    within 1e-12. Offspring i is ``sum_j r_ij * state_j``, and its carried
+    product is the same combination of the parents' products (the sweep's
+    products are linear in the state). Slot omegas are untouched;
+    fitnesses are invalidated.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (pop.size, pop.size):
@@ -330,10 +330,11 @@ def recombine(pop: Population, r: np.ndarray) -> Population:
             f"stochastic matrix shape {r.shape} does not match population "
             f"size {pop.size}"
         )
-    if np.max(np.abs(r.sum(axis=1) - 1.0)) > 1e-12:
-        raise ValueError("matrix rows must sum to 1 within 1e-12")
-    products = None if pop.products is None else r @ pop.products
-    return Population(r @ pop.states, None, pop.omegas, products)
+    rows = r.tolist()  # a NaN or infinite entry fails its row's sum test
+    if not all(min(row) >= 0.0 and abs(sum(row) - 1.0) <= 1e-12 for row in rows):
+        raise ValueError("matrix rows must be nonnegative and sum to 1 within 1e-12")
+    products = None if pop.products is None else r.dot(pop.products)
+    return Population(r.dot(pop.states), None, pop.omegas, products)
 
 
 def mutate_and_evaluate(
@@ -350,29 +351,32 @@ def mutate_and_evaluate(
     Gauss-Seidel slot carries ``U x'`` and derives its fitness, up to
     rounding, as ``||((1-w)/w) D (x - x') + (U x' - U x)||`` (w in (0, 2)).
     ``work`` is the run's ``gauss_seidel_work`` copy of A; a Gauss-Seidel
-    call without one makes its own. Non-finite states are propagated
+    call without one makes its own. Norms are ``linalg.vector_norm``,
+    bit for bit ``np.linalg.norm``. Non-finite states are propagated
     as-is; the run loop's divergence check deals with them.
     """
     jacobi = variant.method == "jacobi"
     if not jacobi and work is None:
         work = gauss_seidel_work(sys)
     carried = [None] * pop.size if pop.products is None else pop.products
-    states = np.empty_like(pop.states)
-    products = np.empty_like(pop.states)
-    fitness = np.empty(pop.size)
+    states = np.empty(pop.states.shape)
+    products = np.empty(pop.states.shape)
+    fitness = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (x, omega, product) in enumerate(zip(pop.states, pop.omegas, carried)):
+        for x, omega, product, new, new_product in zip(
+            pop.states, pop.omegas.tolist(), carried, states, products
+        ):
             if jacobi:
-                states[i] = jacobi_sr_step(sys, x, omega, ax=product)
-                products[i] = sys.a @ states[i]
-                fitness[i] = np.linalg.norm(products[i] - sys.b)
+                new[:] = jacobi_sr_step(sys, x, omega, ax=product)
+                np.dot(sys.a, new, out=new_product)
+                fitness.append(vector_norm(new_product - sys.b))
             else:
                 ux = upper_product(work, x) if product is None else product
-                states[i] = gauss_seidel_sr_step(sys, x, omega, ux=ux, work=work)
-                products[i] = upper_product(work, states[i])
-                r = ((1.0 - omega) / omega) * sys.diag * (x - states[i])
-                fitness[i] = np.linalg.norm(r + (products[i] - ux))
-    return Population(states, fitness, pop.omegas, products)
+                new[:] = gauss_seidel_sr_step(sys, x, omega, ux=ux, work=work)
+                new_product[:] = upper_product(work, new)
+                r = ((1.0 - omega) / omega) * sys.diag * (x - new)
+                fitness.append(vector_norm(r + (new_product - ux)))
+    return Population(states, np.array(fitness), pop.omegas, products)
 
 
 def select_and_reproduce(pop: Population) -> Population:
@@ -387,8 +391,7 @@ def select_and_reproduce(pop: Population) -> Population:
         raise ValueError("population must be evaluated before selection")
     if pop.size % 2 != 0:
         raise ValueError("population size must be even")
-    order = np.argsort(pop.fitness, kind="stable")
-    keep = np.repeat(order[: pop.size // 2], 2)
+    keep = pop.fitness.argsort(kind="stable")[: pop.size // 2].repeat(2)
     products = None if pop.products is None else pop.products[keep]
     return Population(pop.states[keep], pop.fitness[keep], pop.omegas, products)
 
@@ -409,6 +412,8 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     if not isinstance(cfg, SolverConfig):
         raise ValueError("cfg must be a SolverConfig")
     variant = cfg.variant
+    recombining = variant.uses_recombination
+    adaptive = not variant.is_fixed
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(sys, cfg, rng)
     derived = variant.method == "gauss_seidel"
@@ -421,23 +426,24 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     recombine_calls = 0
     t0 = time.perf_counter()
     while not converged and not diverged and t < cfg.max_generations:
-        if variant.uses_recombination:
-            r = make_stochastic_matrix(pop.size, rng)
-            pop = recombine(pop, r)
+        if recombining:
+            pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
             recombine_calls += 1
         pop = mutate_and_evaluate(pop, sys, variant, work)
-        omegas = pop.omegas.copy()
-        for p in range(0, pop.size - 1, 2):
-            omegas[p], omegas[p + 1] = adapt_pair(
-                omegas[p], omegas[p + 1], pop.fitness[p], pop.fitness[p + 1], t, rng
-            )
-        pop = Population(pop.states, pop.fitness, omegas, pop.products)
-        if not variant.is_fixed:
+        if adaptive:  # a one-slot run has no pair to adapt, nothing to select
+            omegas, fitness = pop.omegas.tolist(), pop.fitness.tolist()
+            for p in range(0, len(omegas) - 1, 2):
+                omegas[p], omegas[p + 1] = adapt_pair(
+                    omegas[p], omegas[p + 1], fitness[p], fitness[p + 1], t, rng
+                )
+            pop = Population(pop.states, pop.fitness, np.array(omegas), pop.products)
             pop = select_and_reproduce(pop)
         t += 1
-        best = float(pop.fitness.min())
+        # Slot 0 holds the best state: selection ranks it first, and a
+        # fixed run has no other slot.
+        best = pop.fitness.item(0)
         if derived and best < cfg.threshold:
-            best = residual_norm(sys, pop.states[pop.best_index()])
+            best = residual_norm(sys, pop.states[0])
         trace.append((t, best))
         converged = best < cfg.threshold
         diverged = not converged and not best <= DIVERGENCE_BOUND

@@ -109,10 +109,10 @@ def gauss_seidel_sr_step(
     d = sys.diag
     rhs = ((1.0 - omega) / omega) * d * x + sys.b - ux
     diagonal = work.reshape(-1)[:: sys.n + 1]
-    diagonal[:] = d / omega
+    np.divide(d, omega, out=diagonal)
     # The transpose of work.T's upper triangle is D/w + L.
     out = dtrsv(work.T, rhs, lower=0, trans=1, overwrite_x=1)
-    diagonal[:] = 0.0
+    diagonal.fill(0.0)
     return out
 
 

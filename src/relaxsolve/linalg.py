@@ -8,6 +8,7 @@ between threads and reused across many iteration sweeps.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,6 +22,7 @@ __all__ = [
     "SingularMatrixError",
     "direct_solve",
     "residual_norm",
+    "vector_norm",
 ]
 
 # Smallest admissible |a_ii|; systems below this are rejected instead of
@@ -99,11 +101,19 @@ class LinearSystem:
 def check_state(sys: LinearSystem, x) -> np.ndarray:
     """``x`` as a float64 array; ValueError unless its shape is ``(sys.n,)``."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (sys.n,):
+    if x.shape != sys.b.shape:
         raise ValueError(
             f"dimension mismatch: system has n={sys.n}, x has shape {x.shape}"
         )
     return x
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Bit for bit ``np.linalg.norm(v)`` of a contiguous 1-D float64 vector.
+
+    Same ``v.dot(v)``, same correctly rounded square root, no dispatch.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def residual_norm(sys: LinearSystem, x: np.ndarray) -> float:
@@ -115,7 +125,7 @@ def residual_norm(sys: LinearSystem, x: np.ndarray) -> float:
         ``||a x - b||_2``; zero exactly when ``x`` solves the system.
     """
     x = check_state(sys, x)
-    return float(np.linalg.norm(sys.a @ x - sys.b))
+    return vector_norm(sys.a @ x - sys.b)
 
 
 def direct_solve(sys: LinearSystem) -> np.ndarray:

@@ -30,6 +30,7 @@ __all__ = [
     "ConstRule",
     "FAMILY_IDS",
     "FormulaRule",
+    "N_LIMIT",
     "ProblemSpec",
     "Rule",
     "SpecParseError",
@@ -39,6 +40,9 @@ __all__ = [
     "parse_problem_spec",
     "render_problem_spec",
 ]
+
+# Every n is below this, so an n-by-n float64 array is a legal numpy size.
+N_LIMIT = 2**30
 
 # Zero-spanning diagonal intervals are resampled until |a_ii| >= this.
 DIAG_MIN_ABS = 1.0
@@ -173,8 +177,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.id != "custom" and self.id not in _FAMILIES:
             raise ValueError(f"unknown problem id {self.id!r}")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        if not 1 <= self.n < N_LIMIT:
+            raise ValueError(f"n must be a positive integer below {N_LIMIT}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if isinstance(self.diag_rule, ConstRule):
@@ -216,15 +220,19 @@ def family_spec(pid: str, n: int, seed: int) -> ProblemSpec:
     )
 
 
-def _draw_uniform(
-    rule: UniformRule, size, rng: np.random.Generator, min_abs: float = 0.0
-) -> np.ndarray:
-    vals = rng.uniform(rule.lo, rule.hi, size=size)
-    if min_abs > 0.0:
-        bad = np.abs(vals) < min_abs
-        while bad.any():
-            vals[bad] = rng.uniform(rule.lo, rule.hi, size=int(bad.sum()))
-            bad = np.abs(vals) < min_abs
+def _fill(rule: Rule, shape, rng: np.random.Generator, i, j, min_abs: float = 0.0):
+    """Entries of ``shape`` from ``rule``; ``i``, ``j`` are 1-based indices.
+
+    An interval draws from ``rng``, redrawing entries below ``min_abs``.
+    """
+    if isinstance(rule, ConstRule):
+        return np.full(shape, float(rule.value))
+    if isinstance(rule, FormulaRule):
+        vals = np.broadcast_to(rule.evaluate(i, j, shape[0]), shape)
+        return np.array(vals, dtype=np.float64)
+    vals = rng.uniform(rule.lo, rule.hi, size=shape)
+    while min_abs > 0.0 and (bad := np.abs(vals) < min_abs).any():
+        vals[bad] = rng.uniform(rule.lo, rule.hi, size=int(bad.sum()))
     return vals
 
 
@@ -245,39 +253,12 @@ def generate_problem(
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    n = spec.n
-    rows = np.arange(1, n + 1, dtype=np.float64)[:, None]
-    cols = np.arange(1, n + 1, dtype=np.float64)[None, :]
-
-    off = spec.offdiag_rule
-    if isinstance(off, UniformRule):
-        a = _draw_uniform(off, (n, n), rng)
-    elif isinstance(off, ConstRule):
-        a = np.full((n, n), float(off.value))
-    else:
-        a = np.broadcast_to(off.evaluate(rows, cols, n), (n, n)).astype(np.float64)
-        a = np.array(a)
-
-    diag = spec.diag_rule
-    if isinstance(diag, UniformRule):
-        d = _draw_uniform(diag, n, rng, min_abs=_diag_min_abs(diag))
-    elif isinstance(diag, ConstRule):
-        d = np.full(n, float(diag.value))
-    else:
-        i = rows.ravel()
-        d = np.broadcast_to(diag.evaluate(i, i, n), (n,)).astype(np.float64)
-    np.fill_diagonal(a, d)
-
-    rhs = spec.rhs_rule
-    if isinstance(rhs, UniformRule):
-        b = _draw_uniform(rhs, n, rng)
-    elif isinstance(rhs, ConstRule):
-        b = np.full(n, float(rhs.value))
-    else:
-        i = rows.ravel()
-        b = np.broadcast_to(rhs.evaluate(i, i, n), (n,)).astype(np.float64)
-
-    return LinearSystem(a, b)
+    n, diag = spec.n, spec.diag_rule
+    i = np.arange(1, n + 1, dtype=np.float64)
+    a = _fill(spec.offdiag_rule, (n, n), rng, i[:, None], i[None, :])
+    min_abs = _diag_min_abs(diag) if isinstance(diag, UniformRule) else 0.0
+    np.fill_diagonal(a, _fill(diag, (n,), rng, i, i, min_abs))
+    return LinearSystem(a, _fill(spec.rhs_rule, (n,), rng, i, i))
 
 
 class SpecParseError(ValueError):
@@ -401,7 +382,8 @@ def build_spec(fields: dict[str, str], lines: dict[str, int | None]) -> ProblemS
     """
     n = seed = None
     if "n" in fields:
-        n = _parse_int(fields, lines, "n", 1, 2**62, "a positive integer")
+        below = f"a positive integer below {N_LIMIT}"
+        n = _parse_int(fields, lines, "n", 1, N_LIMIT, below)
     if "seed" in fields:
         seed = _parse_int(
             fields, lines, "seed", 0, 2**64, "an unsigned 64-bit integer"

@@ -162,6 +162,66 @@ def test_threshold_not_positive_and_finite_exits_2(capsys, threshold):
     assert captured.out == ""
 
 
+@pytest.fixture
+def no_generation(monkeypatch):
+    """Fail, without allocating, if a command generates a problem."""
+
+    def refuse(spec, rng=None):
+        raise AssertionError(f"generated a problem with n={spec.n}")
+
+    # Each command looks the generator up in its own module.
+    monkeypatch.setattr("relaxsolve.cli.generate_problem", refuse)
+    monkeypatch.setattr("relaxsolve.bench.generate_problem", refuse)
+
+
+@pytest.mark.parametrize("command", ["solve", "generate"])
+def test_n_at_the_size_limit_exits_2(tmp_path, capsys, no_generation, command):
+    argv = [command, "--problem", "P1", "--n", str(2**30)]
+    if command == "solve":
+        argv += ["--variant", "MJBTVA"]
+    else:
+        argv += ["--out", str(tmp_path / "spec.txt")]
+    assert main(argv) == 2
+    assert "--n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_too_large_n_in_a_file_exits_2(tmp_path, capsys, no_generation, command):
+    n = 4611686018427387903
+    path = tmp_path / "input.txt"
+    out_csv = tmp_path / "rows.csv"
+    if command == "solve":
+        path.write_text(f"id=P1\nn={n}\nseed=0\n")
+        argv = ["solve", "--problem", str(path), "--variant", "MJBTVA"]
+    else:
+        path.write_text(f"problems=P1\nn={n}\n")
+        argv = ["bench", "--plan", str(path), "--out", str(out_csv)]
+    assert main(argv) == 2
+    assert "n must be a positive integer below 1073741824" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_out_of_memory_while_generating_exits_2(tmp_path, capsys, monkeypatch, command):
+    def no_memory(spec, rng=None):
+        raise MemoryError()
+
+    module = "relaxsolve.cli" if command == "solve" else "relaxsolve.bench"
+    monkeypatch.setattr(f"{module}.generate_problem", no_memory)
+    out_csv = tmp_path / "rows.csv"
+    if command == "solve":
+        argv = ["solve", "--problem", "P1", "--n", "123", "--variant", "MJBTVA"]
+    else:
+        plan = tmp_path / "plan.txt"
+        plan.write_text("problems=P1\nn=123\n")
+        argv = ["bench", "--plan", str(plan), "--out", str(out_csv)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "not enough memory" in captured.err and "n=123" in captured.err
+    assert captured.out == ""
+    assert not out_csv.exists()
+
+
 def test_bench_end_to_end(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_text(SMALL_PLAN)

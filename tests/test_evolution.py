@@ -311,6 +311,11 @@ def test_recombine_rejects_bad_matrix():
         recombine(pop, np.eye(3))
     with pytest.raises(ValueError):
         recombine(pop, np.array([[0.7, 0.2], [0.5, 0.5]]))
+    # Rows that are NaN, infinite or negative, whatever their sum.
+    for bad in ([[np.nan, 0.5], [0.5, 0.5]], [[np.inf, -np.inf], [0.5, 0.5]],
+                [[1.5, -0.5], [0.5, 0.5]], [[0.5, np.nan], [0.5, 0.5]]):
+        with pytest.raises(ValueError):
+            recombine(pop, np.array(bad))
 
 
 # ---------------------------------------------------------------- mutation
@@ -562,6 +567,77 @@ def test_fixed_variant_matches_plain_loop(variant, step, case, sys_, max_generat
         assert [g for g, _ in out.trace] == [g for g, _ in trace]
         for (_, got), (_, want), bound in zip(out.trace, trace, bounds):
             assert abs(got - want) <= bound
+
+
+def _plain_adaptive_loop(sys_, cfg):
+    """``run_solver`` for an adaptive variant, spelled out in stage calls.
+
+    Returns the run's outcome and, per recombining generation, whether
+    the two parents were equal just before recombination.
+    """
+    variant = cfg.variant
+    gauss_seidel = variant.method == "gauss_seidel"
+    work = gauss_seidel_work(sys_)
+    rng = np.random.default_rng(cfg.seed)
+    pop = init_population(sys_, cfg, rng)
+    best = float(pop.fitness.min())
+    trace = [(0, best)]
+    equal_parents = []
+    converged, diverged = best < cfg.threshold, False
+    while not (converged or diverged) and len(trace) <= cfg.max_generations:
+        t = len(trace) - 1
+        if variant.uses_recombination:
+            r = make_stochastic_matrix(pop.size, rng)
+            equal_parents.append(pop.states[0].tobytes() == pop.states[1].tobytes())
+            pop = recombine(pop, r)
+        pop = mutate_and_evaluate(pop, sys_, variant, work)
+        omegas = pop.omegas.copy()
+        omegas[0], omegas[1] = adapt_pair(
+            omegas[0], omegas[1], pop.fitness[0], pop.fitness[1], t, rng
+        )
+        pop = Population(pop.states, pop.fitness, omegas, pop.products)
+        pop = select_and_reproduce(pop)
+        best = float(pop.fitness.min())
+        if gauss_seidel and best < cfg.threshold:
+            best = residual_norm(sys_, pop.states[pop.best_index()])
+        trace.append((t + 1, best))
+        converged = best < cfg.threshold
+        diverged = not converged and not best <= DIVERGENCE_BOUND
+    if gauss_seidel and not converged:
+        with np.errstate(over="ignore", invalid="ignore"):
+            best = residual_norm(sys_, pop.states[pop.best_index()])
+        trace[-1] = (len(trace) - 1, best)
+    outcome = (converged, diverged, trace, pop.states[pop.best_index()], pop.omegas)
+    return outcome, equal_parents
+
+
+@pytest.mark.parametrize(
+    "case, sys_, max_generations",
+    [
+        ("converged", _dominant_system(10, seed=42), 10000),
+        ("diverged", _DIVERGENT, 10000),
+        ("capped", _dominant_system(10, seed=42), 3),
+    ],
+)
+@pytest.mark.parametrize("variant", ADAPTIVE)
+def test_adaptive_variant_matches_plain_loop(variant, case, sys_, max_generations):
+    cfg = SolverConfig(variant=variant, seed=3, max_generations=max_generations)
+    (converged, diverged, trace, state, omegas), equal_parents = (
+        _plain_adaptive_loop(sys_, cfg)
+    )
+
+    out = run_solver(sys_, cfg)
+    assert (out.converged, out.diverged) == (case == "converged", case == "diverged")
+    assert (out.converged, out.diverged) == (converged, diverged)
+    assert out.generations == len(trace) - 1 > 1
+    assert repr(out.trace) == repr(trace)
+    assert out.best_state.tobytes() == state.tobytes()
+    assert out.final_omegas == [float(w) for w in omegas]
+    assert out.recombine_calls == len(equal_parents)
+    if variant.uses_recombination:
+        # With two slots, selection copies the survivor into both, so from
+        # the second generation on recombination mixes two equal states.
+        assert equal_parents == [False] + [True] * (out.generations - 1)
 
 
 @pytest.mark.parametrize("variant", [Variant.GSBTVA, Variant.MGSBTVA, Variant.FIXED_GS_SR])

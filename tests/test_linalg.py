@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from relaxsolve import (
     LinearSystem,
@@ -10,6 +12,7 @@ from relaxsolve import (
     residual_norm,
 )
 from relaxsolve.iteration import gauss_seidel_work
+from relaxsolve.linalg import vector_norm
 
 
 def _random_dominant(n, seed, diag=None):
@@ -92,6 +95,38 @@ def test_residual_norm_known_value():
 def test_residual_norm_zero_at_solution():
     sys_ = LinearSystem(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
     assert residual_norm(sys_, np.array([1.0, 1.0])) == 0.0
+
+
+# Moderate values, values whose squares overflow (|x| > 1.4e154), and
+# the non-finite ones.
+_NORM_ENTRIES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(min_value=1e154, max_value=1.7e308).flatmap(
+        lambda x: st.sampled_from([x, -x])
+    ),
+    st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324]),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(arrays(np.float64, st.integers(0, 12), elements=_NORM_ENTRIES))
+@example(np.array([1e200, 1e200]))
+@example(np.array([np.inf, np.nan]))
+@example(np.array([3.0, 4.0]))
+def test_vector_norm_equals_numpy_norm_bit_for_bit(v):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linalg.norm(v)
+        got = vector_norm(v)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_vector_norm_equals_numpy_norm_on_long_vectors():
+    # Long enough for BLAS's blocked dot product to sum in its own order.
+    rng = np.random.default_rng(12)
+    for n in range(0, 600, 7):
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
+        assert vector_norm(v) == np.linalg.norm(v)
 
 
 def test_direct_solve_hand_value():

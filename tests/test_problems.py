@@ -241,6 +241,7 @@ def test_parse_error_reports_line_number():
         ("id=custom\nn=5\nseed=0\ndiag=const:1e309\noffdiag=uniform:0,1\nrhs=const:1", "finite value"),
         ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=const:nan\nrhs=const:1", "finite value"),
         ("id=P1\nn=0\nseed=0", "positive integer"),
+        ("id=P1\nn=1073741824\nseed=0", "positive integer below 1073741824"),
         ("id=P1\nn=5\nseed=-1", "unsigned 64-bit"),
         ("id=P1\nn=5\nseed=0\nrhs=", "empty value"),
         ("just some words", "expected key=value"),
@@ -274,6 +275,8 @@ def test_problem_spec_validation():
         family_spec("P0", 5, 0)
     with pytest.raises(ValueError):
         family_spec("P1", 0, 0)
+    with pytest.raises(ValueError):
+        family_spec("P1", 2**30, 0)
     with pytest.raises(ValueError):
         family_spec("P1", 5, -3)
     with pytest.raises(ValueError):
