@@ -1,6 +1,6 @@
 """One run of the best-performing variant over every canonical problem family.
 
-Generates each of the eleven seeded families at two sizes, runs MGSBTVA once
+Generates each of the ten seeded families at two sizes, runs MGSBTVA once
 per system, and reports the outcome honestly: at the larger size several
 families carry so much off-diagonal spread relative to their diagonal that no
 relaxation factor makes the underlying sweeps contract, and those runs are
@@ -53,11 +53,6 @@ def main():
         print(f"--- n = {size} ---")
         tour(size)
 
-    print()
-    print("P3 and P11 share identical generation rules, so under a shared "
-          "seed they produce byte-identical instances; the matching hashes "
-          "make that visible (the hash fingerprints the generated bytes of "
-          "A and b, not the family label).")
     print()
     print("Families drift from convergent toward divergent as n grows "
           "because the eigenvalue spread of a random off-diagonal block "

@@ -1,4 +1,4 @@
-"""Run a fixed grid of solves and print each run's outcome as JSON.
+"""Run a fixed grid of solves and print each run's outcome as JSON Lines.
 
 The grid is every problem family at n = 30 and n = 200, under each
 variant, at each seed; the seed names both the family instance and the
@@ -14,9 +14,10 @@ output to see whether a change moved any run:
 
 ``--src`` names the ``src`` directory to import ``relaxsolve`` from
 (default: this checkout's) and ``--seeds`` the seeds (default 1,2). The
-output is one JSON list with one run per line; a count of converged,
-capped and diverged runs goes to stderr. With the default seeds the grid
-is 11 x 2 x 6 x 2 = 264 runs and takes a few seconds.
+output is one JSON object per run and line, so a run added or removed
+changes only its own lines; a count of converged, capped and diverged
+runs goes to stderr. With the default seeds the grid is
+10 x 2 x 6 x 2 = 240 runs and takes a few seconds.
 
 A change in how fitness is computed (say, a residual derived from the
 sweep's own products instead of recomputed from A) moves the ``trace``
@@ -75,7 +76,8 @@ def main(argv=None) -> int:
                         "best_state": _digest(res.best_state.tobytes()),
                         "final_omegas": _digest(repr(res.final_omegas).encode()),
                     })
-    print("[\n" + ",\n".join(json.dumps(r) for r in runs) + "\n]")
+    for r in runs:
+        print(json.dumps(r))
     converged = sum(r["converged"] for r in runs)
     diverged = sum(r["diverged"] for r in runs)
     print(f"{len(runs)} runs: converged={converged} "

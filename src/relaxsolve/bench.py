@@ -26,6 +26,8 @@ from .problems import (
     ProblemSpec,
     SpecParseError,
     build_spec,
+    convert,
+    field_error,
     generate_problem,
     scan_kv,
 )
@@ -76,9 +78,12 @@ def mix_seed(base_seed: int, label: str) -> int:
 def problem_hash(sys: LinearSystem) -> int:
     """64-bit BLAKE2b digest of the raw float64 bytes of A (row-major) then b.
 
-    The digest is read as a big-endian unsigned integer.
+    The digest is read as a big-endian unsigned integer. A row-major A is
+    hashed in place; any other layout (P7's A is column-major) is first
+    copied to row-major.
     """
-    digest = hashlib.blake2b(sys.a.tobytes() + sys.b.tobytes(), digest_size=8)
+    digest = hashlib.blake2b(np.ascontiguousarray(sys.a), digest_size=8)
+    digest.update(sys.b)
     return int.from_bytes(digest.digest(), "big")
 
 
@@ -377,9 +382,9 @@ def emit_trace_svg(
 
 
 # Plan values the parser only converts; BenchPlan checks their bounds.
-_PLAN_VALUES = (("repetitions", int, "integer"), ("base_seed", int, "integer"),
-                ("threshold", float, "real"), ("max_generations", int, "integer"))
-_PLAN_KEYS = ("problems", "variants") + tuple(key for key, _, _ in _PLAN_VALUES)
+_PLAN_VALUES = (("repetitions", int), ("base_seed", int),
+                ("threshold", float), ("max_generations", int))
+_PLAN_KEYS = ("problems", "variants") + tuple(key for key, _ in _PLAN_VALUES)
 _DEFAULT_VARIANTS = ("JBTVA", "GSBTVA", "MJBTVA", "MGSBTVA")
 
 
@@ -436,17 +441,12 @@ def parse_bench_plan(text: str) -> BenchPlan:
     if "variants" in fields:
         names = _name_list(fields, lines, "variants", "variant", [v.value for v in Variant])
 
-    values = {}
-    for key, kind, word in _PLAN_VALUES:
-        if key in fields:
-            try:
-                values[key] = kind(fields[key])
-            except ValueError:
-                raise SpecParseError(
-                    f"invalid {word} for key {key!r}: {fields[key]!r}", lines[key]
-                ) from None
+    values = {
+        key: convert(fields, lines, key, kind)
+        for key, kind in _PLAN_VALUES
+        if key in fields
+    }
     try:
         return BenchPlan(specs, names, **values)
     except ValueError as exc:
-        # Each check's message starts with its field: report it at that line.
-        raise SpecParseError(str(exc), lines.get(str(exc).partition(" ")[0])) from None
+        raise field_error(exc, lines) from None

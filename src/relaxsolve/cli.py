@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import os
 import sys
 
@@ -23,7 +22,6 @@ from .bench import (
 from .evolution import SolverConfig, Variant, run_solver
 from .problems import (
     FAMILY_IDS,
-    N_LIMIT,
     SpecParseError,
     family_spec,
     generate_problem,
@@ -34,26 +32,15 @@ from .problems import (
 __all__ = ["build_parser", "main"]
 
 PROG = "relaxsolve"
+_FAMILY_RANGE = f"{FAMILY_IDS[0]}..{FAMILY_IDS[-1]}"
 
-
-def _bounded_int(lo: int, hi: float, what: str):
-    """argparse type for an integer ``lo <= value < hi``, described as ``what``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if not lo <= value < hi:
-            raise argparse.ArgumentTypeError(f"must be {what}")
-        return value
-
-    return parse
+# The option that sets each ProblemSpec or SolverConfig field. A check's
+# message starts with its field, so its error is reported at the option.
+_OPTIONS = {"n": "--n", "seed": "--seed", "threshold": "--threshold",
+            "max_generations": "--max-gens", "fixed_omega": "--omega"}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    u64 = _bounded_int(0, 2**64, "an unsigned 64-bit integer")
-    dimension = _bounded_int(1, N_LIMIT, f"a positive integer below {N_LIMIT}")
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Relaxed Jacobi/Gauss-Seidel solvers with self-adaptive "
@@ -72,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--problem",
         required=True,
         metavar="P|FILE",
-        help="family id (P1..P11) or path to a problem-spec file",
+        help=f"family id ({_FAMILY_RANGE}) or path to a problem-spec file",
     )
     solve.add_argument(
         "--variant",
@@ -82,13 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--seed",
-        type=u64,
+        type=int,
         default=0,
         help="seed for the solver run (and the instance, for family ids)",
     )
     solve.add_argument(
         "--n",
-        type=dimension,
+        type=int,
         default=200,
         help="dimension for family ids (ignored for spec files; default 200)",
     )
@@ -100,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--max-gens",
-        type=_bounded_int(0, math.inf, "a nonnegative integer"),
+        type=int,
         default=10000,
         help="generation cap (default 10000)",
     )
@@ -141,10 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--problem", required=True, choices=list(FAMILY_IDS), help="family id"
     )
     generate.add_argument(
-        "--n", type=dimension, default=200, help="dimension (default 200)"
+        "--n", type=int, default=200, help="dimension (default 200)"
     )
     generate.add_argument(
-        "--seed", type=u64, default=0, help="generation seed (default 0)"
+        "--seed", type=int, default=0, help="generation seed (default 0)"
     )
     generate.add_argument("--out", required=True, help="output file path")
     return parser
@@ -159,26 +146,11 @@ def _too_large(where: str, n: int) -> int:
     return _fail(f"{where}: not enough memory for a problem with n={n}", 2)
 
 
-def _load_spec(args):
-    """Resolve --problem to a ProblemSpec for the solve subcommand."""
-    if args.problem in FAMILY_IDS:
-        return family_spec(args.problem, args.n, args.seed)
-    with open(args.problem, "r", encoding="utf-8") as fh:
-        return parse_problem_spec(fh.read())
+def _option_error(exc: ValueError) -> int:
+    return _fail(f"{_OPTIONS[str(exc).partition(' ')[0]]}: {exc}", 2)
 
 
 def _cmd_solve(args) -> int:
-    try:
-        spec = _load_spec(args)
-    except (SpecParseError, UnicodeDecodeError) as exc:
-        return _fail(f"{args.problem}: {exc}", 2)
-    except OSError as exc:
-        return _fail(f"cannot read {args.problem}: {exc.strerror or exc}", 3)
-    try:
-        system = generate_problem(spec)
-    except MemoryError:
-        return _too_large(args.problem, spec.n)
-
     try:
         cfg = SolverConfig(
             variant=Variant(args.variant),
@@ -187,9 +159,27 @@ def _cmd_solve(args) -> int:
             seed=args.seed,
             fixed_omega=args.omega,
         )
+        family = args.problem in FAMILY_IDS
+        spec = family_spec(args.problem, args.n, args.seed) if family else None
     except ValueError as exc:
-        option = "--threshold" if str(exc).startswith("threshold") else "--omega"
-        return _fail(f"{option}: {exc}", 2)
+        return _option_error(exc)
+    if spec is None:
+        try:
+            with open(args.problem, "r", encoding="utf-8") as fh:
+                spec = parse_problem_spec(fh.read())
+        except (SpecParseError, UnicodeDecodeError) as exc:
+            return _fail(f"{args.problem}: {exc}", 2)
+        except OSError as exc:
+            return _fail(
+                f"cannot read {args.problem}: {exc.strerror or exc} "
+                f"(family ids are {_FAMILY_RANGE})",
+                3,
+            )
+    try:
+        system = generate_problem(spec)
+    except MemoryError:
+        return _too_large(args.problem, spec.n)
+
     result = run_solver(system, cfg)
     print(
         f"generations={result.generations} "
@@ -259,7 +249,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = family_spec(args.problem, args.n, args.seed)
+    try:
+        spec = family_spec(args.problem, args.n, args.seed)
+    except ValueError as exc:
+        return _option_error(exc)
     system = generate_problem(spec)
     lines = [render_problem_spec(spec).rstrip("\n")]
     lines.append(f"# generated entries for {spec.id}, n={spec.n}, seed={spec.seed}")

@@ -134,8 +134,8 @@ class SolverConfig:
             )
         if self.max_generations < 0:
             raise ValueError("max_generations must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
         # Neither relaxed sweep converges for a factor outside (0, 2): SOR
         # by Kahan's bound, JOR because the eigenvalues of its iteration
         # matrix I - w D^-1 A average 1 - w.

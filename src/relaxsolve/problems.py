@@ -1,14 +1,14 @@
-"""Seeded generators for the eleven benchmark problem families P1-P11.
+"""Seeded generators for the ten benchmark problem families P1-P10.
 
 Each family fills a dense n-by-n system from three rules -- one for the
 diagonal, one for the off-diagonal block, one for the right-hand side.
 A rule is a constant, a uniform open interval, or a 1-based index
-formula. Families P1-P6 and P9-P11 are random; P7 and P8 are fully
+formula. Families P1-P6, P9 and P10 are random; P7 and P8 are fully
 deterministic. Custom problems use the same rule kinds through a small
 line-oriented ``key=value`` spec format.
 
 Diagonal interval rules are rejection-sampled until every diagonal
-entry has magnitude at least 1 if the interval spans zero (P3, P9, P11)
+entry has magnitude at least 1 if the interval spans zero (P3, P9)
 and at least ``DIAG_FLOOR`` otherwise, since the iteration matrices need
 an invertible diagonal. A spec whose diagonal interval reaches that
 magnitude on less than 1% of its width is rejected, since the sampler
@@ -145,7 +145,6 @@ _FAMILIES: dict[str, tuple[Rule, Rule, Rule]] = {
     ),
     "P9": (UniformRule(-20, 200), UniformRule(-2, 3), UniformRule(-2, 3)),
     "P10": (ConstRule(40), UniformRule(-4, 4), ConstRule(200)),
-    "P11": (UniformRule(-50, 50), UniformRule(-1, 1), UniformRule(-1, 1)),
 }
 
 FAMILY_IDS = tuple(_FAMILIES)
@@ -211,7 +210,7 @@ class ProblemSpec:
 
 
 def family_spec(pid: str, n: int, seed: int) -> ProblemSpec:
-    """ProblemSpec for canonical family ``pid`` ("P1".."P11")."""
+    """ProblemSpec for canonical family ``pid`` ("P1".."P10")."""
     if pid not in _FAMILIES:
         raise ValueError(f"unknown problem id {pid!r}")
     diag, offdiag, rhs = _FAMILIES[pid]
@@ -271,11 +270,17 @@ class SpecParseError(ValueError):
         super().__init__(message)
 
 
-_RULE_KEYS = {"diag": "diag_rule", "offdiag": "offdiag_rule", "rhs": "rhs_rule"}
-SPEC_KEYS = ("id", "n", "seed", "diag", "offdiag", "rhs")
+_RULE_KEYS = ("diag", "offdiag", "rhs")
+SPEC_KEYS = ("id", "n", "seed") + _RULE_KEYS
 
 
-def _make_rule(kind: type, lineno: int | None, *values: float) -> Rule:
+def field_error(exc: ValueError, lines: dict[str, int | None]) -> SpecParseError:
+    """``exc`` as a SpecParseError at the line of the key its message starts with."""
+    message = str(exc)
+    return SpecParseError(message, lines.get(message.partition(" ")[0]))
+
+
+def _make_rule(kind: type, lineno: int | None, *values) -> Rule:
     """Build a rule, reporting its own validation error at ``lineno``."""
     try:
         return kind(*values)
@@ -316,9 +321,7 @@ def _parse_rule(key: str, value: str, lineno: int | None) -> Rule:
                 f"to {key!r}",
                 lineno,
             )
-        if (name, key) not in _FORMULAS:
-            raise SpecParseError(f"unknown formula {rest!r}", lineno)
-        return FormulaRule(name, key)
+        return _make_rule(FormulaRule, lineno, name, key)
     raise SpecParseError(f"unknown rule kind {kind!r}", lineno)
 
 
@@ -353,71 +356,60 @@ def scan_kv(
     return fields, lines
 
 
-def _parse_int(
-    fields: dict[str, str],
-    lines: dict[str, int | None],
-    key: str,
-    lo: int,
-    hi: int,
-    what: str,
-) -> int:
+def convert(
+    fields: dict[str, str], lines: dict[str, int | None], key: str, kind: type = int
+) -> int | float:
+    """``fields[key]`` as ``kind`` (``int`` or ``float``); its range is not checked."""
     try:
-        value = int(fields[key])
+        return kind(fields[key])
     except ValueError:
+        word = "integer" if kind is int else "real"
         raise SpecParseError(
-            f"invalid integer for key {key!r}: {fields[key]!r}", lines.get(key)
+            f"invalid {word} for key {key!r}: {fields[key]!r}", lines.get(key)
         ) from None
-    if not lo <= value < hi:
-        raise SpecParseError(f"{key} must be {what}", lines.get(key))
-    return value
 
 
 def build_spec(fields: dict[str, str], lines: dict[str, int | None]) -> ProblemSpec:
     """Assemble a ProblemSpec from already-scanned key/value fields.
 
     Shared by the problem-spec and benchmark-plan parsers; keys outside
-    ``SPEC_KEYS`` are ignored. Values of present keys are validated first
-    so malformed input is reported with its line number even when other
-    keys are missing.
+    ``SPEC_KEYS`` are ignored. Values of present keys are converted
+    first, so a malformed value is reported at its line even when other
+    keys are missing. ``ProblemSpec`` then judges the values, and its
+    error is reported at the line of the key it names.
     """
-    n = seed = None
-    if "n" in fields:
-        below = f"a positive integer below {N_LIMIT}"
-        n = _parse_int(fields, lines, "n", 1, N_LIMIT, below)
-    if "seed" in fields:
-        seed = _parse_int(
-            fields, lines, "seed", 0, 2**64, "an unsigned 64-bit integer"
-        )
+    n = convert(fields, lines, "n") if "n" in fields else None
+    seed = convert(fields, lines, "seed") if "seed" in fields else None
     for req in ("id", "n", "seed"):
         if req not in fields:
             raise SpecParseError(f"missing required key {req!r}")
     pid = fields["id"]
 
-    if pid in _FAMILIES:
+    if pid == "custom":
+        rules = []
+        for key in _RULE_KEYS:
+            if key not in fields:
+                raise SpecParseError(f"missing required key {key!r} for custom problem")
+            rules.append(_parse_rule(key, fields[key], lines.get(key)))
+    elif pid in _FAMILIES:
         for key in _RULE_KEYS:
             if key in fields:
                 raise SpecParseError(
                     f"key {key!r} is only allowed with id=custom", lines.get(key)
                 )
-        return family_spec(pid, n, seed)
-    if pid != "custom":
+        rules = _FAMILIES[pid]
+    else:
         raise SpecParseError(f"unknown id {pid!r}", lines.get("id"))
-
-    rules = {}
-    for key, attr in _RULE_KEYS.items():
-        if key not in fields:
-            raise SpecParseError(f"missing required key {key!r} for custom problem")
-        rules[attr] = _parse_rule(key, fields[key], lines.get(key))
     try:
-        return ProblemSpec(id="custom", n=n, seed=seed, **rules)
+        return ProblemSpec(pid, n, seed, *rules)
     except ValueError as exc:
-        raise SpecParseError(str(exc)) from None
+        raise field_error(exc, lines) from None
 
 
 def parse_problem_spec(text: str) -> ProblemSpec:
     """Parse the line-oriented ``key=value`` problem-spec format.
 
-    Keys: ``id`` (P1..P11 or custom), ``n``, ``seed``, and for custom
+    Keys: ``id`` (P1..P10 or custom), ``n``, ``seed``, and for custom
     problems ``diag``, ``offdiag``, ``rhs``. ``#`` starts a comment;
     blank lines are skipped. Family ids take their rules from the
     built-in table and reject explicit rule keys. Errors carry the

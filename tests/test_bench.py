@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -15,6 +16,7 @@ from relaxsolve import (
     UniformRule,
     Variant,
     emit_trace_svg,
+    family_spec,
     generate_problem,
     parse_bench_plan,
     problem_hash,
@@ -75,6 +77,17 @@ def test_problem_hash_is_content_sensitive():
     a, b = np.array([[2.0, 1.0], [0.5, 2.0]]), np.array([3.0, 3.0])
     assert problem_hash(LinearSystem(a, b)) == 0xEBE1A7462C6FBB7B
     assert problem_hash(LinearSystem(np.asfortranarray(a), b)) == 0xEBE1A7462C6FBB7B
+
+
+def test_problem_hash_does_not_copy_a_row_major_matrix():
+    sys_ = generate_problem(family_spec("P1", 400, seed=0))
+    tracemalloc.start()
+    try:
+        problem_hash(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sys_.a.nbytes / 4
 
 
 # ---------------------------------------------------------------- plan runs
@@ -342,6 +355,7 @@ def test_parse_plan_inline_custom_problem():
         ("problems=P1\nid=P2\nn=5", "not both"),
         ("repetitions=3", "plan needs either"),
         ("problems=P0", "unknown id"),
+        ("problems=P11", "line 1: unknown id 'P11'"),
         ("problems=P1\nseed=5", "line 2: a plan takes no seed"),
         ("id=P1\nseed=5", "instances are seeded from base_seed"),
         ("problems=P1\ndiag=const:1", "line 2: key 'diag' is only allowed with id=custom"),

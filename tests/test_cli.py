@@ -103,7 +103,9 @@ def test_unreadable_problem_file_exits_3(tmp_path, capsys):
     code = main(["solve", "--problem", str(missing), "--variant", "JBTVA"])
     err = capsys.readouterr().err
     assert code == 3
-    assert "cannot read" in err
+    assert "cannot read" in err and "family ids are P1..P10" in err
+    assert main(["solve", "--problem", "P11", "--variant", "JBTVA"]) == 3
+    assert "cannot read P11" in capsys.readouterr().err
 
 
 def test_malformed_problem_file_exits_2(tmp_path, capsys):
@@ -174,15 +176,31 @@ def no_generation(monkeypatch):
     monkeypatch.setattr("relaxsolve.bench.generate_problem", refuse)
 
 
-@pytest.mark.parametrize("command", ["solve", "generate"])
-def test_n_at_the_size_limit_exits_2(tmp_path, capsys, no_generation, command):
-    argv = [command, "--problem", "P1", "--n", str(2**30)]
+@pytest.mark.parametrize(
+    "command,option,value",
+    [
+        pytest.param("solve", "--n", str(2**30), id="solve"),
+        pytest.param("generate", "--n", str(2**30), id="generate"),
+        ("solve", "--n", "0"),
+        ("solve", "--seed", str(2**64)),
+        ("solve", "--max-gens", "-1"),
+        ("generate", "--seed", "-1"),
+    ],
+)
+def test_n_at_the_size_limit_exits_2(
+    tmp_path, capsys, no_generation, command, option, value
+):
+    # Every option bound is judged, and reported at its option, before
+    # any problem is generated.
+    argv = [command, "--problem", "P1", option, value]
     if command == "solve":
         argv += ["--variant", "MJBTVA"]
     else:
         argv += ["--out", str(tmp_path / "spec.txt")]
     assert main(argv) == 2
-    assert "--n" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"relaxsolve: {option}: " in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])

@@ -100,8 +100,9 @@ def test_solver_config_validation():
             SolverConfig(variant=Variant.JBTVA, threshold=threshold)
     with pytest.raises(ValueError):
         SolverConfig(variant=Variant.JBTVA, max_generations=-1)
-    with pytest.raises(ValueError):
-        SolverConfig(variant=Variant.JBTVA, seed=-1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(variant=Variant.JBTVA, seed=seed)
     for omega in (math.inf, -math.inf, math.nan, 0.0, -1.0, 2.0, 2.5):
         with pytest.raises(ValueError, match="fixed_omega"):
             SolverConfig(variant=Variant.FIXED_GS_SR, fixed_omega=omega)

@@ -11,6 +11,7 @@ from relaxsolve import (
     family_spec,
     generate_problem,
     parse_problem_spec,
+    problem_hash,
     render_problem_spec,
 )
 
@@ -20,7 +21,15 @@ def _offdiag_mask(n):
 
 
 def test_family_ids_complete():
-    assert FAMILY_IDS == tuple(f"P{k}" for k in range(1, 12))
+    assert FAMILY_IDS == tuple(f"P{k}" for k in range(1, 11))
+
+
+def test_families_generate_distinct_systems():
+    hashes = [
+        problem_hash(generate_problem(family_spec(pid, 30, seed=1)))
+        for pid in FAMILY_IDS
+    ]
+    assert len(set(hashes)) == len(hashes)
 
 
 @pytest.mark.parametrize("pid", FAMILY_IDS)
@@ -47,7 +56,7 @@ def test_p2_constant_rhs():
     assert np.all((off > -4.0) & (off < 4.0))
 
 
-@pytest.mark.parametrize("pid", ["P3", "P11"])
+@pytest.mark.parametrize("pid", ["P3"])
 def test_zero_spanning_diagonals_are_kept_away_from_zero(pid):
     # domain (-50, 50) would admit near-zero pivots; entries are redrawn
     # until |a_ii| >= 1
@@ -225,6 +234,7 @@ def test_parse_error_reports_line_number():
         ("id=P1\nn=5\nn=6\nseed=0", "duplicate key"),
         ("id=P1\nseed=0", "missing required key 'n'"),
         ("id=P99\nn=5\nseed=0", "unknown id"),
+        ("id=P99\nn=0\nseed=0", "unknown id"),
         ("id=P1\nn=5\nseed=0\ndiag=const:1", "only allowed with id=custom"),
         ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=uniform:0,1", "missing required key 'rhs'"),
         ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=uniform:1\nrhs=const:1", "malformed interval"),
