@@ -3,11 +3,11 @@
 The grid is every problem family at n = 30 and n = 200, under each
 variant, at each seed; the seed names both the family instance and the
 solver run, and the fixed variants run at their default omega. Per run it
-prints the generations, ``converged``, ``diverged``, ``final_residual``
-(a JSON number that reads back as the same float64), and 16-hex BLAKE2b
-digests of ``repr(trace)``, the bytes of ``best_state`` and
-``repr(final_omegas)``. Run it on two source checkouts and diff the
-output to see whether a change moved any run:
+prints the instance's ``problem_hash``, the generations, ``converged``,
+``diverged``, ``final_residual`` (a JSON number that reads back as the
+same float64), and 16-hex BLAKE2b digests of ``repr(trace)``, the bytes
+of ``best_state`` and ``repr(final_omegas)``. Run it on two source
+checkouts and diff the output to see whether a change moved any run:
 
     diff <(python3 scripts/outcome_grid.py --src ../parent/src) \\
          <(python3 scripts/outcome_grid.py)
@@ -54,6 +54,7 @@ def main(argv=None) -> int:
         Variant,
         family_spec,
         generate_problem,
+        problem_hash,
         run_solver,
     )
 
@@ -63,11 +64,13 @@ def main(argv=None) -> int:
         for n in SIZES:
             for seed in seeds:
                 system = generate_problem(family_spec(pid, n, seed))
+                digest = f"{problem_hash(system):016x}"
                 for variant in Variant:
                     res = run_solver(system, SolverConfig(variant=variant, seed=seed))
                     runs.append({
                         "problem": pid, "n": n, "seed": seed,
                         "variant": variant.value,
+                        "problem_hash": digest,
                         "generations": res.generations,
                         "converged": res.converged,
                         "diverged": res.diverged,

@@ -78,11 +78,10 @@ def mix_seed(base_seed: int, label: str) -> int:
 def problem_hash(sys: LinearSystem) -> int:
     """64-bit BLAKE2b digest of the raw float64 bytes of A (row-major) then b.
 
-    The digest is read as a big-endian unsigned integer. A row-major A is
-    hashed in place; any other layout (P7's A is column-major) is first
-    copied to row-major.
+    The digest is read as a big-endian unsigned integer. ``LinearSystem``
+    stores A row-major, so both arrays are hashed in place, uncopied.
     """
-    digest = hashlib.blake2b(np.ascontiguousarray(sys.a), digest_size=8)
+    digest = hashlib.blake2b(sys.a, digest_size=8)
     digest.update(sys.b)
     return int.from_bytes(digest.digest(), "big")
 
@@ -405,13 +404,13 @@ def parse_bench_plan(text: str) -> BenchPlan:
     Either ``problems=P1,P5,...`` lists problem ids, or the keys of a
     single problem spec (``id=``, ``diag=``, ...) define one problem
     inline. Both forms take an optional ``n`` (default 200) and build
-    each problem with the spec parser's ``build_spec``, so rule keys need
-    ``id=custom`` either way. A plan takes no ``seed``: its instances are
-    seeded from ``base_seed``. Optional plan keys: ``variants`` (comma
-    list, default the four adaptive variants), ``repetitions`` (default
-    10), ``base_seed`` (default 0), ``threshold`` and
-    ``max_generations`` (shared by every run). A problem or variant named
-    twice is an error.
+    each problem with the spec parser's ``build_spec``, so a rule key
+    given with a family id must repeat that family's rule. A plan takes
+    no ``seed``: its instances are seeded from ``base_seed``. Optional
+    plan keys: ``variants`` (comma list, default the four adaptive
+    variants), ``repetitions`` (default 10), ``base_seed`` (default 0),
+    ``threshold`` and ``max_generations`` (shared by every run). A
+    problem or variant named twice is an error.
     """
     fields, lines = scan_kv(text, _PLAN_KEYS + SPEC_KEYS)
     if "seed" in fields:

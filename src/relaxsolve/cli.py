@@ -253,7 +253,10 @@ def _cmd_generate(args) -> int:
         spec = family_spec(args.problem, args.n, args.seed)
     except ValueError as exc:
         return _option_error(exc)
-    system = generate_problem(spec)
+    try:
+        system = generate_problem(spec)
+    except MemoryError:
+        return _too_large(args.problem, spec.n)
     lines = [render_problem_spec(spec).rstrip("\n")]
     lines.append(f"# generated entries for {spec.id}, n={spec.n}, seed={spec.seed}")
     for i in range(system.n):

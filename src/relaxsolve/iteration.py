@@ -66,11 +66,11 @@ def gauss_seidel_work(sys: LinearSystem) -> np.ndarray:
 
     Holds the strict triangles L and U of A with a zero diagonal, which
     ``gauss_seidel_sr_step`` overwrites during a step and zeroes again
-    before it returns. The copy is C-ordered whatever the order of
-    ``sys.a``, so its transpose is a Fortran-ordered operand that the
-    BLAS wrappers take without copying n^2 entries on every call.
+    before it returns. Like ``sys.a`` it is row-major, so its transpose
+    is a Fortran-ordered operand that the BLAS wrappers take without
+    copying n^2 entries on every call.
     """
-    work = np.array(sys.a, order="C")
+    work = sys.a.copy()
     np.fill_diagonal(work, 0.0)
     return work
 

@@ -34,20 +34,6 @@ class SingularMatrixError(ValueError):
     """Raised when elimination meets a pivot that is numerically zero."""
 
 
-def _as_vector(x, name: str = "vector") -> np.ndarray:
-    v = np.array(x, dtype=np.float64, copy=True)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    return v
-
-
-def _as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    m = np.array(a, dtype=np.float64, copy=True)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square 2-D, got shape {m.shape}")
-    return m
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     """A dense n-by-n system ``a @ x = b``.
@@ -60,15 +46,21 @@ class LinearSystem:
     b : array_like
         Right-hand side vector of length n, finite entries.
 
-    Both arrays are copied and made read-only on construction.
+    Both arrays are copied and made read-only on construction. The copy
+    of ``a`` is row-major (C order) whatever the layout passed in, so
+    its rows are contiguous for hashing and for the BLAS kernels.
     """
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        a = _as_square_matrix(self.a, "a")
-        b = _as_vector(self.b, "b")
+        a = np.array(self.a, dtype=np.float64, order="C")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"a must be square 2-D, got shape {a.shape}")
+        b = np.array(self.b, dtype=np.float64)
+        if b.ndim != 1:
+            raise ValueError(f"b must be 1-D, got shape {b.shape}")
         if a.shape[0] != b.shape[0]:
             raise ValueError(
                 f"dimension mismatch: a is {a.shape[0]}x{a.shape[1]}, "

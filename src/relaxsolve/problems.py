@@ -120,8 +120,8 @@ _FORMULAS: dict[tuple[str, str], Callable] = {
     ("p7", "diag"): lambda i, j, n: 20.0 * i,
     ("p7", "offdiag"): lambda i, j, n: (100.0 - j) / 20.0,
     ("p7", "rhs"): lambda i, j, n: 10.0 * i,
-    ("p8", "diag"): lambda i, j, n: 20.0 * n + 0.0 * i,
-    ("p8", "offdiag"): lambda i, j, n: 0.0 * i + 1.0 * j,
+    ("p8", "diag"): lambda i, j, n: 20.0 * n,
+    ("p8", "offdiag"): lambda i, j, n: 1.0 * j,
     ("p8", "rhs"): lambda i, j, n: 1.0 * i,
 }
 
@@ -148,6 +148,7 @@ _FAMILIES: dict[str, tuple[Rule, Rule, Rule]] = {
 }
 
 FAMILY_IDS = tuple(_FAMILIES)
+_RULE_KEYS = ("diag", "offdiag", "rhs")
 
 
 def _diag_min_abs(rule: UniformRule) -> float:
@@ -164,59 +165,70 @@ def _share_reaching(rule: UniformRule, m: float) -> float:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A fully specified random linear system: id, size, rules, seed."""
+    """A fully specified random linear system: id, size, rules, seed.
+
+    ``id`` is a family id (P1..P10) or ``"custom"``. A family fixes its
+    three rules: an omitted rule is filled in from the family, and a
+    given one must equal it. ``custom`` needs all three rules, and a
+    formula rule must target the slot it sits in. Every error message
+    starts with the field it names (``id``, ``n``, ``seed``, ``diag``,
+    ``offdiag`` or ``rhs``).
+    """
 
     id: str
     n: int
     seed: int
-    diag_rule: Rule
-    offdiag_rule: Rule
-    rhs_rule: Rule
+    diag_rule: Rule | None = None
+    offdiag_rule: Rule | None = None
+    rhs_rule: Rule | None = None
 
     def __post_init__(self):
-        if self.id != "custom" and self.id not in _FAMILIES:
-            raise ValueError(f"unknown problem id {self.id!r}")
+        fixed = _FAMILIES.get(self.id)
+        if fixed is None and self.id != "custom":
+            raise ValueError(
+                f"id must be custom or one of {FAMILY_IDS[0]}..{FAMILY_IDS[-1]}, "
+                f"got unknown id {self.id!r}"
+            )
         if not 1 <= self.n < N_LIMIT:
             raise ValueError(f"n must be a positive integer below {N_LIMIT}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if isinstance(self.diag_rule, ConstRule):
-            if abs(self.diag_rule.value) < DIAG_FLOOR:
-                raise ValueError("constant diagonal rule must be nonzero")
-        if isinstance(self.diag_rule, UniformRule):
-            lo, hi = self.diag_rule.lo, self.diag_rule.hi
-            min_abs = _diag_min_abs(self.diag_rule)
-            share = _share_reaching(self.diag_rule, min_abs)
+        for k, key in enumerate(_RULE_KEYS):
+            rule = getattr(self, f"{key}_rule")
+            if fixed is not None and rule is None:
+                object.__setattr__(self, f"{key}_rule", fixed[k])
+            elif fixed is not None and rule != fixed[k]:
+                raise ValueError(
+                    f"{key} of {self.id} is fixed to {fixed[k]}, got {rule}; "
+                    f"other rules are only allowed with id=custom"
+                )
+            elif rule is None:
+                raise ValueError(f"{key} rule is required with id=custom")
+            elif isinstance(rule, FormulaRule) and rule.slot != key:
+                raise ValueError(f"{key} rule {rule} targets slot {rule.slot!r}")
+        diag = self.diag_rule
+        if isinstance(diag, ConstRule) and abs(diag.value) < DIAG_FLOOR:
+            raise ValueError("diag constant rule must be nonzero")
+        if isinstance(diag, UniformRule):
+            lo, hi = diag.lo, diag.hi
+            min_abs = _diag_min_abs(diag)
+            share = _share_reaching(diag, min_abs)
             if share == 0.0:
                 raise ValueError(
-                    f"diagonal interval ({lo!r}, {hi!r}) never reaches "
+                    f"diag interval ({lo!r}, {hi!r}) never reaches "
                     f"the required magnitude {min_abs!r}"
                 )
             if share < _DIAG_MIN_SHARE:
                 raise ValueError(
-                    f"diagonal interval ({lo!r}, {hi!r}) reaches the required "
+                    f"diag interval ({lo!r}, {hi!r}) reaches the required "
                     f"magnitude {min_abs!r} on only {share:.2g} of its width, "
                     f"under the {_DIAG_MIN_SHARE:.0%} the sampler needs"
                 )
-        if isinstance(self.diag_rule, FormulaRule) and self.diag_rule.slot != "diag":
-            raise ValueError("diagonal formula must target the diag slot")
-        if (
-            isinstance(self.offdiag_rule, FormulaRule)
-            and self.offdiag_rule.slot != "offdiag"
-        ):
-            raise ValueError("off-diagonal formula must target the offdiag slot")
-        if isinstance(self.rhs_rule, FormulaRule) and self.rhs_rule.slot != "rhs":
-            raise ValueError("right-hand-side formula must target the rhs slot")
 
 
 def family_spec(pid: str, n: int, seed: int) -> ProblemSpec:
     """ProblemSpec for canonical family ``pid`` ("P1".."P10")."""
-    if pid not in _FAMILIES:
-        raise ValueError(f"unknown problem id {pid!r}")
-    diag, offdiag, rhs = _FAMILIES[pid]
-    return ProblemSpec(
-        id=pid, n=n, seed=seed, diag_rule=diag, offdiag_rule=offdiag, rhs_rule=rhs
-    )
+    return ProblemSpec(pid, n, seed)
 
 
 def _fill(rule: Rule, shape, rng: np.random.Generator, i, j, min_abs: float = 0.0):
@@ -270,7 +282,6 @@ class SpecParseError(ValueError):
         super().__init__(message)
 
 
-_RULE_KEYS = ("diag", "offdiag", "rhs")
 SPEC_KEYS = ("id", "n", "seed") + _RULE_KEYS
 
 
@@ -315,13 +326,7 @@ def _parse_rule(key: str, value: str, lineno: int | None) -> Rule:
         return _make_rule(UniformRule, lineno, lo, hi)
     if kind == "formula":
         name, sep, slot = rest.partition("-")
-        if sep and slot != key:
-            raise SpecParseError(
-                f"formula {rest!r} targets slot {slot!r} but is assigned "
-                f"to {key!r}",
-                lineno,
-            )
-        return _make_rule(FormulaRule, lineno, name, key)
+        return _make_rule(FormulaRule, lineno, name, slot if sep else key)
     raise SpecParseError(f"unknown rule kind {kind!r}", lineno)
 
 
@@ -380,28 +385,15 @@ def build_spec(fields: dict[str, str], lines: dict[str, int | None]) -> ProblemS
     """
     n = convert(fields, lines, "n") if "n" in fields else None
     seed = convert(fields, lines, "seed") if "seed" in fields else None
+    rules = [
+        _parse_rule(key, fields[key], lines.get(key)) if key in fields else None
+        for key in _RULE_KEYS
+    ]
     for req in ("id", "n", "seed"):
         if req not in fields:
             raise SpecParseError(f"missing required key {req!r}")
-    pid = fields["id"]
-
-    if pid == "custom":
-        rules = []
-        for key in _RULE_KEYS:
-            if key not in fields:
-                raise SpecParseError(f"missing required key {key!r} for custom problem")
-            rules.append(_parse_rule(key, fields[key], lines.get(key)))
-    elif pid in _FAMILIES:
-        for key in _RULE_KEYS:
-            if key in fields:
-                raise SpecParseError(
-                    f"key {key!r} is only allowed with id=custom", lines.get(key)
-                )
-        rules = _FAMILIES[pid]
-    else:
-        raise SpecParseError(f"unknown id {pid!r}", lines.get("id"))
     try:
-        return ProblemSpec(pid, n, seed, *rules)
+        return ProblemSpec(fields["id"], n, seed, *rules)
     except ValueError as exc:
         raise field_error(exc, lines) from None
 
@@ -409,11 +401,11 @@ def build_spec(fields: dict[str, str], lines: dict[str, int | None]) -> ProblemS
 def parse_problem_spec(text: str) -> ProblemSpec:
     """Parse the line-oriented ``key=value`` problem-spec format.
 
-    Keys: ``id`` (P1..P10 or custom), ``n``, ``seed``, and for custom
-    problems ``diag``, ``offdiag``, ``rhs``. ``#`` starts a comment;
-    blank lines are skipped. Family ids take their rules from the
-    built-in table and reject explicit rule keys. Errors carry the
-    offending 1-based line number where one applies.
+    Keys: ``id`` (P1..P10 or custom), ``n``, ``seed``, and the rules
+    ``diag``, ``offdiag``, ``rhs``, which custom problems need and
+    family ids may only repeat unchanged. ``#`` starts a comment; blank
+    lines are skipped. Errors carry the offending 1-based line number
+    where one applies.
     """
     return build_spec(*scan_kv(text, SPEC_KEYS))
 

@@ -79,8 +79,9 @@ def test_problem_hash_is_content_sensitive():
     assert problem_hash(LinearSystem(np.asfortranarray(a), b)) == 0xEBE1A7462C6FBB7B
 
 
-def test_problem_hash_does_not_copy_a_row_major_matrix():
-    sys_ = generate_problem(family_spec("P1", 400, seed=0))
+@pytest.mark.parametrize("pid", ["P1", "P7"])
+def test_problem_hash_does_not_copy_a_row_major_matrix(pid):
+    sys_ = generate_problem(family_spec(pid, 400, seed=0))
     tracemalloc.start()
     try:
         problem_hash(sys_)
@@ -355,10 +356,10 @@ def test_parse_plan_inline_custom_problem():
         ("problems=P1\nid=P2\nn=5", "not both"),
         ("repetitions=3", "plan needs either"),
         ("problems=P0", "unknown id"),
-        ("problems=P11", "line 1: unknown id 'P11'"),
+        ("problems=P11", "line 1: id must be custom or one of P1..P10, got unknown id 'P11'"),
         ("problems=P1\nseed=5", "line 2: a plan takes no seed"),
         ("id=P1\nseed=5", "instances are seeded from base_seed"),
-        ("problems=P1\ndiag=const:1", "line 2: key 'diag' is only allowed with id=custom"),
+        ("problems=P1\ndiag=const:1", "line 2: diag of P1 is fixed to uniform:100,200"),
         ("problems=P1\nn=0", "line 2: n must be a positive integer"),
         ("problems=P1\nrepetitions=0", "positive integer"),
         ("problems=P1\nthreshold=zero", "invalid real"),

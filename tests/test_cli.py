@@ -126,7 +126,7 @@ def test_unreachable_diagonal_interval_exits_2(tmp_path, capsys, diag):
     code = main(["solve", "--problem", str(spec_file), "--variant", "MJBTVA"])
     err = capsys.readouterr().err
     assert code == 2
-    assert str(spec_file) in err and "diagonal interval" in err
+    assert str(spec_file) in err and "diag interval" in err
 
 
 def _latin1_file(path, text):
@@ -219,16 +219,18 @@ def test_too_large_n_in_a_file_exits_2(tmp_path, capsys, no_generation, command)
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("command", ["solve", "bench", "generate"])
 def test_out_of_memory_while_generating_exits_2(tmp_path, capsys, monkeypatch, command):
     def no_memory(spec, rng=None):
         raise MemoryError()
 
-    module = "relaxsolve.cli" if command == "solve" else "relaxsolve.bench"
+    module = "relaxsolve.bench" if command == "bench" else "relaxsolve.cli"
     monkeypatch.setattr(f"{module}.generate_problem", no_memory)
     out_csv = tmp_path / "rows.csv"
     if command == "solve":
         argv = ["solve", "--problem", "P1", "--n", "123", "--variant", "MJBTVA"]
+    elif command == "generate":
+        argv = ["generate", "--problem", "P1", "--n", "123", "--out", str(out_csv)]
     else:
         plan = tmp_path / "plan.txt"
         plan.write_text("problems=P1\nn=123\n")

@@ -434,9 +434,9 @@ def test_selection_requires_evaluation():
 
 @pytest.mark.parametrize("variant", [Variant.JBTVA, Variant.GSBTVA])
 def test_carried_products_match_recomputation(variant):
-    # P7's A is Fortran-ordered. Rows of ``products`` are A x (Jacobi) or
-    # U x (Gauss-Seidel); after every stage they must equal a fresh
-    # product of the states up to the rounding of n-term sums.
+    # Rows of ``products`` are A x (Jacobi) or U x (Gauss-Seidel); after
+    # every stage they must equal a fresh product of the states up to the
+    # rounding of n-term sums.
     sys_ = generate_problem(family_spec("P7", 30, 0))
     m = sys_.a if variant.method == "jacobi" else np.triu(sys_.a, 1)
     work = gauss_seidel_work(sys_) if variant.method == "gauss_seidel" else None

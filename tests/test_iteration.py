@@ -115,7 +115,7 @@ def test_sweep_equals_operator_over_random_draws():
             direct = step(sys_, x, omega)
             via_op = op.h @ x + op.v
             assert np.max(np.abs(direct - via_op)) <= 1e-10
-    # Every family at n = 30 over an omega grid; P7's A is Fortran-ordered.
+    # Every family at n = 30 over an omega grid.
     # Tolerance: rounding of n-term sums, relative to the terms' magnitude.
     rng = np.random.default_rng(17)
     for pid in FAMILY_IDS:

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from relaxsolve import (
+    FAMILY_IDS,
     LinearSystem,
     SingularMatrixError,
     direct_solve,
@@ -70,9 +71,10 @@ def test_arrays_are_copied_and_read_only():
 
 def test_triangle_decomposition_reconstructs_exactly():
     # The Gauss-Seidel work copy holds both strict triangles and a zero
-    # diagonal, C-ordered even where A is not (P7's A is Fortran-ordered).
+    # diagonal, row-major like every generated A.
     p7 = generate_problem(family_spec("P7", 9, 0))
-    assert p7.a.flags.f_contiguous and not p7.a.flags.c_contiguous
+    for pid in FAMILY_IDS:
+        assert generate_problem(family_spec(pid, 9, 0)).a.flags.c_contiguous, pid
     for sys_ in (_random_dominant(9, seed=11), p7):
         work = gauss_seidel_work(sys_)
         assert work.flags.c_contiguous and work.flags.writeable

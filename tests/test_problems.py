@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from relaxsolve import (
     ConstRule,
@@ -236,7 +237,7 @@ def test_parse_error_reports_line_number():
         ("id=P99\nn=5\nseed=0", "unknown id"),
         ("id=P99\nn=0\nseed=0", "unknown id"),
         ("id=P1\nn=5\nseed=0\ndiag=const:1", "only allowed with id=custom"),
-        ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=uniform:0,1", "missing required key 'rhs'"),
+        ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=uniform:0,1", "rhs rule is required with id=custom"),
         ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=uniform:1\nrhs=const:1", "malformed interval"),
         ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=uniform:a,b\nrhs=const:1", "malformed interval"),
         ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=uniform:3,1\nrhs=const:1", "lo < hi"),
@@ -278,6 +279,53 @@ def test_render_parse_round_trip_custom():
         rhs_rule=ConstRule(2.0),
     )
     assert parse_problem_spec(render_problem_spec(spec)) == spec
+
+
+@st.composite
+def _accepted_specs(draw):
+    """A ProblemSpec that construction accepts: a family, or custom rules."""
+    n, seed = draw(st.integers(1, 6)), draw(st.integers(0, 2**64 - 1))
+    pid = draw(st.sampled_from(FAMILY_IDS + ("custom",)))
+    if pid != "custom":
+        return ProblemSpec(pid, n, seed)
+    reals = st.floats(allow_nan=False, allow_infinity=False)
+    rules = []
+    for slot in ("diag", "offdiag", "rhs"):
+        kind = draw(st.sampled_from(["const", "uniform", "formula"]))
+        try:
+            if kind == "const":
+                rules.append(ConstRule(draw(reals)))
+            elif kind == "uniform":
+                rules.append(UniformRule(*sorted([draw(reals), draw(reals)])))
+            else:
+                rules.append(FormulaRule(draw(st.sampled_from(["p7", "p8"])), slot))
+        except ValueError:
+            assume(False)
+    try:
+        return ProblemSpec("custom", n, seed, *rules)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_accepted_specs())
+def test_render_parse_round_trip_of_every_accepted_spec(spec):
+    parsed = parse_problem_spec(render_problem_spec(spec))
+    assert parsed == spec
+    original, again = generate_problem(spec), generate_problem(parsed)
+    assert again.a.tobytes() == original.a.tobytes()
+    assert again.b.tobytes() == original.b.tobytes()
+
+
+def test_family_id_fixes_its_rules():
+    # Rules that differ from P1's would render as a plain id=P1 and parse
+    # back to a different system.
+    with pytest.raises(ValueError, match="^diag of P1 is fixed"):
+        ProblemSpec("P1", 4, 0, ConstRule(5.0), ConstRule(0.0), ConstRule(1.0))
+    # A rule equal to the family's is accepted, and omitted ones are filled in.
+    p1 = family_spec("P1", 4, 0)
+    assert ProblemSpec("P1", 4, 0, offdiag_rule=UniformRule(-10.0, 10.0)) == p1
+    assert parse_problem_spec("id=P1\nn=4\nseed=0\noffdiag=uniform:-10,10") == p1
 
 
 def test_problem_spec_validation():
