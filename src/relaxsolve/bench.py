@@ -142,25 +142,23 @@ def run_benchmark(
     """Execute the full plan; rows come out ordered (problem, variant, r).
 
     One system instance is generated per (problem, repetition) from seed
-    ``mix_seed(base, "<pid>|instance|<r>")`` and reused by every variant,
-    so paired rows share a ``problem_hash``. Each run's solver seed is
+    ``mix_seed(base, "<pid>|instance|<r>")`` and run by every variant
+    before the next is generated, so paired rows share a ``problem_hash``
+    and only one instance is held at a time. Each run's solver seed is
     ``mix_seed(base, "<pid>|<variant>|<r>")``. Runs that hit the
     generation cap or diverge still emit a row (``converged`` false);
-    nothing aborts the plan. ``on_result`` is called after each run with
-    the row, the full result (including the trace), and the repetition
-    index.
+    nothing aborts the plan. ``on_result`` is called after each run, in
+    (r, variant) order within a problem, with the row, the full result
+    (including the trace), and the repetition index.
     """
     rows: list[BenchRow] = []
     for spec in plan.problems:
-        instances = []
+        runs: list[list[BenchRow]] = [[] for _ in plan.variants]
         for r in range(plan.repetitions):
             inst_seed = mix_seed(plan.base_seed, f"{spec.id}|instance|{r}")
-            rng = np.random.default_rng(inst_seed)
-            sys = generate_problem(spec, rng)
-            instances.append((sys, problem_hash(sys)))
-        for variant in plan.variants:
-            for r in range(plan.repetitions):
-                sys, h = instances[r]
+            sys = generate_problem(spec, np.random.default_rng(inst_seed))
+            h = problem_hash(sys)
+            for variant, variant_rows in zip(plan.variants, runs):
                 run_seed = mix_seed(plan.base_seed, f"{spec.id}|{variant.value}|{r}")
                 cfg = SolverConfig(
                     variant,
@@ -179,9 +177,12 @@ def run_benchmark(
                     converged=result.converged,
                     problem_hash=h,
                 )
-                rows.append(row)
+                variant_rows.append(row)
                 if on_result is not None:
                     on_result(row, result, r)
+            del sys  # drop this instance before the next one is generated
+        for variant_rows in runs:
+            rows.extend(variant_rows)
     return rows
 
 
@@ -285,7 +286,8 @@ def emit_trace_svg(
     ``traces`` maps a label to a list of ``(generation, residual)`` pairs;
     each trace becomes one polyline on a log10 residual axis (zero
     residuals are clamped to 1e-16 for display), with a swatch legend in
-    the mapping's order. An empty mapping or trace is an error.
+    the mapping's order. Non-finite residuals are left out of the y axis
+    range and of the polylines. An empty mapping or trace is an error.
     """
     items = [(str(label), list(pts)) for label, pts in traces.items()]
     if not items:
@@ -294,9 +296,12 @@ def emit_trace_svg(
         if not pts:
             raise ValueError(f"trace {label!r} is empty")
     xs_all = [g for _, pts in items for g, _ in pts]
-    ys_all = [
-        math.log10(max(res, _RESIDUAL_FLOOR)) for _, pts in items for _, res in pts
+    plotted = [
+        [(g, math.log10(max(res, _RESIDUAL_FLOOR)))
+         for g, res in pts if math.isfinite(res)]
+        for _, pts in items
     ]
+    ys_all = [v for pts in plotted for _, v in pts] or [0.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1
@@ -357,12 +362,9 @@ def emit_trace_svg(
         f'font-size="12" transform="rotate(-90 16 {_MT + plot_h / 2:.1f})">'
         f"log10 residual</text>"
     )
-    for idx, (label, pts) in enumerate(items):
+    for idx, ((label, _), pts) in enumerate(zip(items, plotted)):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(
-            f"{px(g):.2f},{py(math.log10(max(res, _RESIDUAL_FLOOR))):.2f}"
-            for g, res in pts
-        )
+        coords = " ".join(f"{px(g):.2f},{py(v):.2f}" for g, v in pts)
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{coords}"/>'

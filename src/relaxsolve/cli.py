@@ -2,15 +2,17 @@
 materialize a benchmark problem to a file.
 
 Exit codes: 0 success, 1 solver did not converge (results are still
-printed), 2 usage or parse error, 3 I/O error.
+printed), 2 usage, parse or out-of-memory error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import os
 import sys
+from typing import Callable, Iterator, NoReturn, TextIO
 
 from .bench import (
     emit_trace_svg,
@@ -137,17 +139,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(message: str, code: int) -> int:
+def _fail(message: str, code: int) -> NoReturn:
     print(f"{PROG}: {message}", file=sys.stderr)
-    return code
+    raise SystemExit(code)
 
 
-def _too_large(where: str, n: int) -> int:
-    return _fail(f"{where}: not enough memory for a problem with n={n}", 2)
+def _option_error(exc: ValueError) -> NoReturn:
+    _fail(f"{_OPTIONS[str(exc).partition(' ')[0]]}: {exc}", 2)
 
 
-def _option_error(exc: ValueError) -> int:
-    return _fail(f"{_OPTIONS[str(exc).partition(' ')[0]]}: {exc}", 2)
+def _read(path: str, parse: Callable[[str], object], hint: str = ""):
+    """Parse the UTF-8 text at ``path``; exit 2 if it is malformed, 3 if unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (SpecParseError, UnicodeDecodeError) as exc:
+        _fail(f"{path}: {exc}", 2)
+    except OSError as exc:
+        _fail(f"cannot read {path}: {exc.strerror or exc}{hint}", 3)
+
+
+@contextlib.contextmanager
+def _writing(where: str) -> Iterator[None]:
+    """Exit 3 as ``cannot write <where>: <reason>`` on an OSError in the block."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(f"cannot write {where}: {exc.strerror or exc}", 3)
+
+
+def _write(path: str, render: Callable[[TextIO], None], where: str = "") -> None:
+    """Render one output completely in memory, then write it to ``path``."""
+    buf = io.StringIO()
+    render(buf)
+    with _writing(where or path), open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(buf.getvalue())
+
+
+@contextlib.contextmanager
+def _memory_guard(where: str, n: int) -> Iterator[None]:
+    """Exit 2 if generating, solving or writing out a problem of size ``n``
+    runs out of memory."""
+    try:
+        yield
+    except MemoryError:
+        _fail(f"{where}: not enough memory for a problem with n={n}", 2)
 
 
 def _cmd_solve(args) -> int:
@@ -162,80 +198,42 @@ def _cmd_solve(args) -> int:
         family = args.problem in FAMILY_IDS
         spec = family_spec(args.problem, args.n, args.seed) if family else None
     except ValueError as exc:
-        return _option_error(exc)
+        _option_error(exc)
     if spec is None:
-        try:
-            with open(args.problem, "r", encoding="utf-8") as fh:
-                spec = parse_problem_spec(fh.read())
-        except (SpecParseError, UnicodeDecodeError) as exc:
-            return _fail(f"{args.problem}: {exc}", 2)
-        except OSError as exc:
-            return _fail(
-                f"cannot read {args.problem}: {exc.strerror or exc} "
-                f"(family ids are {_FAMILY_RANGE})",
-                3,
-            )
-    try:
-        system = generate_problem(spec)
-    except MemoryError:
-        return _too_large(args.problem, spec.n)
-
-    result = run_solver(system, cfg)
+        hint = f" (family ids are {_FAMILY_RANGE})"
+        spec = _read(args.problem, parse_problem_spec, hint)
+    with _memory_guard(args.problem, spec.n):
+        result = run_solver(generate_problem(spec), cfg)
     print(
         f"generations={result.generations} "
         f"elapsed_ms={result.elapsed_ms:.3f} "
         f"final_residual={result.final_residual!r}"
     )
     if args.trace:
-        try:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                emit_trace_svg(
-                    {args.variant: result.trace}, fh, title=f"{spec.id} (n={spec.n})"
-                )
-        except OSError as exc:
-            return _fail(f"cannot write {args.trace}: {exc.strerror or exc}", 3)
+        traces = {args.variant: result.trace}
+        title = f"{spec.id} (n={spec.n})"
+        _write(args.trace, lambda fh: emit_trace_svg(traces, fh, title=title))
     return 0 if result.converged else 1
 
 
 def _cmd_bench(args) -> int:
-    try:
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = parse_bench_plan(fh.read())
-    except (SpecParseError, UnicodeDecodeError) as exc:
-        return _fail(f"{args.plan}: {exc}", 2)
-    except OSError as exc:
-        return _fail(f"cannot read {args.plan}: {exc.strerror or exc}", 3)
-
+    plan = _read(args.plan, parse_bench_plan)
     traces: dict[str, dict[str, list]] = {}
 
     def collect(row, result, r):
         if args.traces and r == 0:
             traces.setdefault(row.problem_id, {})[row.variant] = result.trace
 
-    try:
+    with _memory_guard(args.plan, max(spec.n for spec in plan.problems)):
         rows = run_benchmark(plan, on_result=collect)
-    except MemoryError:
-        return _too_large(args.plan, max(spec.n for spec in plan.problems))
-
-    # Serialize fully in memory first so a failed write never leaves a
-    # partial CSV behind.
-    buf = io.StringIO()
-    write_csv(rows, buf)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc.strerror or exc}", 3)
-
+    _write(args.out, lambda fh: write_csv(rows, fh))
     if args.traces:
-        try:
+        where = f"traces to {args.traces}"
+        with _writing(where):
             os.makedirs(args.traces, exist_ok=True)
-            for pid, by_variant in traces.items():
-                path = os.path.join(args.traces, f"{pid}.svg")
-                with open(path, "w", encoding="utf-8") as fh:
-                    emit_trace_svg(by_variant, fh, title=pid)
-        except OSError as exc:
-            return _fail(f"cannot write traces to {args.traces}: {exc.strerror or exc}", 3)
+        for pid, by_variant in traces.items():
+            path = os.path.join(args.traces, f"{pid}.svg")
+            _write(path, lambda fh: emit_trace_svg(by_variant, fh, title=pid), where)
 
     for s in summarize(rows):
         print(
@@ -244,45 +242,37 @@ def _cmd_bench(args) -> int:
             f"mean_generations={s.mean_generations:.1f} "
             f"mean_elapsed_ms={s.mean_elapsed_ms:.3f}"
         )
-    all_converged = all(row.converged for row in rows)
-    return 0 if all_converged else 1
+    return 0 if all(row.converged for row in rows) else 1
 
 
 def _cmd_generate(args) -> int:
     try:
         spec = family_spec(args.problem, args.n, args.seed)
     except ValueError as exc:
-        return _option_error(exc)
-    try:
+        _option_error(exc)
+
+    def render(fh):
+        fh.write(render_problem_spec(spec))
+        fh.write(f"# generated entries for {spec.id}, n={spec.n}, seed={spec.seed}\n")
+        for i, row in enumerate(system.a, start=1):
+            fh.write(f"# A[{i}] = {' '.join(repr(float(v)) for v in row)}\n")
+        fh.write(f"# b = {' '.join(repr(float(v)) for v in system.b)}\n")
+
+    with _memory_guard(args.problem, spec.n):
         system = generate_problem(spec)
-    except MemoryError:
-        return _too_large(args.problem, spec.n)
-    lines = [render_problem_spec(spec).rstrip("\n")]
-    lines.append(f"# generated entries for {spec.id}, n={spec.n}, seed={spec.seed}")
-    for i in range(system.n):
-        row = " ".join(repr(float(v)) for v in system.a[i])
-        lines.append(f"# A[{i + 1}] = {row}")
-    lines.append(f"# b = {' '.join(repr(float(v)) for v in system.b)}")
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc.strerror or exc}", 3)
+        _write(args.out, render)
     print(f"wrote {spec.id} (n={spec.n}, seed={spec.seed}) to {args.out}")
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code; every failure ends here."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        command = {"solve": _cmd_solve, "bench": _cmd_bench, "generate": _cmd_generate}
+        return command[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    return _cmd_generate(args)
 
 
 if __name__ == "__main__":

@@ -217,7 +217,8 @@ def init_population(
     Adaptive variants get two states drawn uniformly from
     ``[INIT_LO, INIT_HI)``, with midpoint omegas. Fixed variants get
     one slot at the zero vector with omega ``cfg.fixed_omega`` and draw
-    nothing.
+    nothing. A residual that overflows is kept as inf or nan, for the
+    run loop's divergence check.
     """
     if cfg.variant.is_fixed:
         states = np.zeros((1, sys.n))
@@ -225,7 +226,8 @@ def init_population(
     else:
         states = rng.uniform(INIT_LO, INIT_HI, size=(2, sys.n))
         omegas = init_relaxation_factors(2)
-    fitness = np.array([residual_norm(sys, s) for s in states])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitness = np.array([residual_norm(sys, s) for s in states])
     return Population(states=states, fitness=fitness, omegas=omegas)
 
 

@@ -164,7 +164,19 @@ def test_run_benchmark_callback_sees_every_run():
     seen = []
     plan = _small_plan(repetitions=2)
     run_benchmark(plan, on_result=lambda row, result, r: seen.append((row.variant, r)))
-    assert seen == [("JBTVA", 0), ("JBTVA", 1), ("MJBTVA", 0), ("MJBTVA", 1)]
+    assert seen == [("JBTVA", 0), ("MJBTVA", 0), ("JBTVA", 1), ("MJBTVA", 1)]
+
+
+def test_run_benchmark_holds_one_instance_at_a_time():
+    plan = parse_bench_plan("problems=P1\nn=400\nvariants=MJBTVA\nrepetitions=6\n")
+    a_bytes = 400 * 400 * 8
+    tracemalloc.start()
+    try:
+        run_benchmark(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * a_bytes
 
 
 def test_bench_plan_validation():
@@ -290,6 +302,28 @@ def test_svg_clamps_zero_residuals():
     emit_trace_svg({"residual": [(0, 1.0), (1, 0.0)]}, buf)
     ET.fromstring(buf.getvalue())
     assert "points=" in buf.getvalue()
+
+
+def _polyline_points(text):
+    return [p.get("points") for p in _svg_counts(text)[0]]
+
+
+def test_svg_leaves_non_finite_residuals_out():
+    finite = {"a": [(0, 100.0), (1, 10.0), (2, 1.0)]}
+    alone, mixed = io.StringIO(), io.StringIO()
+    emit_trace_svg(finite, alone)
+    emit_trace_svg(
+        {**finite, "b": [(0, 5.0), (1, math.inf)], "c": [(0, math.nan), (1, math.nan)]},
+        mixed,
+    )
+    assert "nan" not in mixed.getvalue() and "inf" not in mixed.getvalue()
+    points = _polyline_points(mixed.getvalue())
+    assert points[0] == _polyline_points(alone.getvalue())[0]
+    assert len(points[1].split()) == 1 and points[2] == ""
+    only_nan = io.StringIO()
+    emit_trace_svg({"c": [(0, math.nan)]}, only_nan)
+    assert _polyline_points(only_nan.getvalue()) == [""]
+    assert "nan" not in only_nan.getvalue()
 
 
 def test_svg_escapes_labels():

@@ -242,6 +242,17 @@ def test_out_of_memory_while_generating_exits_2(tmp_path, capsys, monkeypatch, c
     assert not out_csv.exists()
 
 
+def test_out_of_memory_while_solving_exits_2(capsys, monkeypatch):
+    def no_memory(sys_):
+        raise MemoryError()
+
+    monkeypatch.setattr("relaxsolve.evolution.gauss_seidel_work", no_memory)
+    assert main(["solve", "--problem", "P1", "--n", "50", "--variant", "MGSBTVA"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "relaxsolve: P1: not enough memory for a problem with n=50\n"
+    assert captured.out == ""
+
+
 def test_bench_end_to_end(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_text(SMALL_PLAN)

@@ -1,8 +1,10 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaxsolve import (
     FAMILY_IDS,
@@ -21,6 +23,7 @@ from relaxsolve import (
     jacobi_sr_step,
     make_stochastic_matrix,
     mutate_and_evaluate,
+    parse_problem_spec,
     recombine,
     residual_norm,
     run_solver,
@@ -741,6 +744,57 @@ def test_divergence_is_flagged_not_raised():
         res = run_solver(bad, SolverConfig(variant=variant, seed=1))
         assert res.diverged and not res.converged
         assert not res.final_residual <= 1e12
+
+
+def test_overflowing_start_diverges_without_a_warning():
+    # Off-diagonal entries near 1e300 overflow the squared norm of the
+    # very first residual.
+    spec = parse_problem_spec(
+        "id=custom\nn=4\nseed=0\ndiag=const:1.0\n"
+        "offdiag=uniform:-1e300,1e300\nrhs=const:1.0\n"
+    )
+    sys_ = generate_problem(spec)
+    for variant in Variant:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_solver(sys_, SolverConfig(variant=variant, seed=0))
+        assert res.diverged and not res.converged, variant
+
+
+@st.composite
+def _any_systems(draw):
+    """Small systems, dominant or not, some scaled until residuals overflow."""
+    n = draw(st.integers(1, 8))
+    a = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n * n, max_size=n * n)))
+    a = a.reshape(n, n)
+    diag = draw(st.lists(st.floats(0.1, 100.0), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    np.fill_diagonal(a, np.multiply(diag, signs))
+    b = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    scale = 10.0 ** draw(st.sampled_from([0, 0, 0, 10, 150, 299, 300]))
+    return LinearSystem(a * scale, b)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_any_systems(), st.integers(0, 60), st.integers(0, 2**64 - 1))
+def test_run_solver_properties_on_arbitrary_systems(sys_, max_generations, seed):
+    for variant in Variant:
+        cfg = SolverConfig(variant=variant, seed=seed, max_generations=max_generations)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_solver(sys_, cfg)
+        assert all(OMEGA_LO < w < OMEGA_HI for w in res.final_omegas)
+        assert [g for g, _ in res.trace] == list(range(res.generations + 1))
+        assert not (res.converged and res.diverged)
+        if res.converged:
+            assert res.final_residual < cfg.threshold
+        elif not res.diverged:
+            assert res.generations == max_generations
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = residual_norm(sys_, res.best_state)
+        assert res.final_residual == direct or (
+            math.isnan(res.final_residual) and math.isnan(direct)
+        )
 
 
 def test_trace_is_consecutive_from_zero():
