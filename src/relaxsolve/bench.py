@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -110,9 +111,9 @@ class BenchPlan:
             raise ValueError("plan needs at least one problem")
         if not self.variants:
             raise ValueError("plan needs at least one variant")
-        if self.repetitions < 1:
+        if not isinstance(self.repetitions, (int, np.integer)) or self.repetitions < 1:
             raise ValueError("repetitions must be a positive integer")
-        if not 0 <= self.base_seed < 2**64:
+        if not isinstance(self.base_seed, (int, np.integer)) or not 0 <= self.base_seed < 2**64:
             raise ValueError("base_seed must be an unsigned 64-bit integer")
         SolverConfig(
             self.variants[0],
@@ -204,7 +205,7 @@ def write_csv(rows: Iterable[BenchRow], sink) -> None:
 
 
 def read_csv(source) -> list[BenchRow]:
-    """Parse ``write_csv`` output back into rows; strict about the schema."""
+    """Parse ``write_csv`` output back into rows; reject any it cannot write."""
     reader = csv.reader(source)
     try:
         header = next(reader)
@@ -218,21 +219,12 @@ def read_csv(source) -> list[BenchRow]:
             continue
         if len(rec) != 8:
             raise ValueError(f"line {lineno}: expected 8 fields, got {len(rec)}")
-        if rec[6] not in ("true", "false"):
-            raise ValueError(f"line {lineno}: converged must be true/false")
+        for k, form in ((2, "[0-9]+"), (3, "[0-9]+"), (6, "true|false"), (7, "[0-9a-f]{16}")):
+            if not re.fullmatch(form, rec[k]):
+                raise ValueError(f"line {lineno}: {header[k]} {rec[k]!r} does not match {form}")
         try:
-            rows.append(
-                BenchRow(
-                    problem_id=rec[0],
-                    variant=rec[1],
-                    seed=int(rec[2]),
-                    generations=int(rec[3]),
-                    elapsed_ms=float(rec[4]),
-                    final_residual=float(rec[5]),
-                    converged=rec[6] == "true",
-                    problem_hash=int(rec[7], 16),
-                )
-            )
+            rows.append(BenchRow(rec[0], rec[1], int(rec[2]), int(rec[3]), float(rec[4]),
+                                 float(rec[5]), rec[6] == "true", int(rec[7], 16)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return rows

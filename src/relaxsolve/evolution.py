@@ -22,9 +22,9 @@ slot then reads A once. A Jacobi slot reads it for its residual
 ``A x' - b``, whose product ``A x'`` it carries on. A Gauss-Seidel slot
 reads the lower triangle in its forward substitution and the upper one
 for ``U x'``, and derives its residual from the sweep's own products.
-Its trace entries are such derived values, except a confirmed
-convergence and the last entry, which are direct residuals. A
-Gauss-Seidel run holds one n-by-n work copy of A to solve in.
+Its trace entries are such derived values, except an entry that ends
+the run, which is a direct residual. A Gauss-Seidel run holds one
+n-by-n work copy of A to solve in.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ class SolverConfig:
             raise ValueError(
                 f"threshold must be positive and finite, got {self.threshold!r}"
             )
-        if self.max_generations < 0:
-            raise ValueError("max_generations must be nonnegative")
-        if not 0 <= self.seed < 2**64:
+        if not isinstance(self.max_generations, (int, np.integer)) or self.max_generations < 0:
+            raise ValueError("max_generations must be a nonnegative integer")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         # Neither relaxed sweep converges for a factor outside (0, 2): SOR
         # by Kahan's bound, JOR because the eigenvalues of its iteration
@@ -167,9 +167,10 @@ class Population:
         return self.states.shape[0]
 
     def best_index(self) -> int:
+        """The slot selection ranks first: lowest fitness, lower slot, NaN last."""
         if self.fitness is None:
             raise ValueError("population has not been evaluated")
-        return int(np.argmin(self.fitness))
+        return int(self.fitness.argsort(kind="stable")[0])
 
 
 @dataclass(frozen=True)
@@ -177,12 +178,12 @@ class RunResult:
     """Outcome of one solver run.
 
     ``trace`` holds one ``(generation, best_residual)`` pair per
-    generation starting at 0. A Gauss-Seidel run's entries are derived
-    fitnesses, except a confirmed convergence and the last entry, which
-    are direct residuals. ``final_residual`` is the direct residual of
-    ``best_state``. ``elapsed_ms`` is wall time around the iteration loop
-    only. ``recombine_calls`` counts executed recombination stages, which
-    is zero for the modified variants and the fixed baselines.
+    generation starting at 0. A Gauss-Seidel run's entries from
+    generation 1 on are derived fitnesses, except the one that ends the
+    run, which is a direct residual. ``final_residual`` is that last
+    entry, the direct residual of ``best_state``. ``elapsed_ms`` is wall
+    time around the iteration loop only. ``recombine_calls`` counts
+    executed recombination stages, zero for the M* and fixed variants.
     """
 
     generations: int
@@ -401,15 +402,16 @@ def select_and_reproduce(pop: Population) -> Population:
 def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     """Run one solver configuration to convergence, cap, or divergence.
 
-    Terminates when the best residual drops below ``cfg.threshold``
-    (converged; a derived Gauss-Seidel value must be confirmed by a direct
-    residual), the generation counter reaches ``cfg.max_generations``,
-    or the best fitness exceeds ``DIVERGENCE_BOUND`` or turns non-finite
-    (diverged). All randomness comes from one PCG64 generator seeded with
-    ``cfg.seed``; the draw order is: initial states, then per
-    generation a stochastic matrix (recombining variants only) followed
-    by two Gaussians per adapted pair. Fixed variants draw nothing.
-    Identical configurations produce identical traces.
+    Every trace entry, generation 0 included, is judged by one rule: the
+    run converges when the best residual is below ``cfg.threshold``,
+    diverges when it exceeds ``DIVERGENCE_BOUND`` or turns non-finite,
+    and is capped at ``cfg.max_generations``. A derived Gauss-Seidel
+    entry that would end the run is first replaced by the direct residual
+    of its state, which then decides. All randomness comes from one PCG64
+    generator seeded with ``cfg.seed``; the draw order is: initial
+    states, then per generation a stochastic matrix (recombining variants
+    only) followed by two Gaussians per adapted pair. Fixed variants draw
+    nothing. Identical configurations produce identical traces.
     """
     if not isinstance(cfg, SolverConfig):
         raise ValueError("cfg must be a SolverConfig")
@@ -420,48 +422,44 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     pop = init_population(sys, cfg, rng)
     derived = variant.method == "gauss_seidel"
     work = gauss_seidel_work(sys) if derived else None
-    best = float(pop.fitness.min())
-    trace = [(0, best)]
-    t = 0
-    converged = best < cfg.threshold
-    diverged = False
+    trace = []
     recombine_calls = 0
     t0 = time.perf_counter()
-    while not converged and not diverged and t < cfg.max_generations:
-        if recombining:
-            pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
-            recombine_calls += 1
-        pop = mutate_and_evaluate(pop, sys, variant, work)
-        if adaptive:  # a one-slot run has no pair to adapt, nothing to select
-            omegas, fitness = pop.omegas.tolist(), pop.fitness.tolist()
-            for p in range(0, len(omegas) - 1, 2):
-                omegas[p], omegas[p + 1] = adapt_pair(
-                    omegas[p], omegas[p + 1], fitness[p], fitness[p + 1], t, rng
-                )
-            pop = Population(pop.states, pop.fitness, np.array(omegas), pop.products)
-            pop = select_and_reproduce(pop)
-        t += 1
-        # Slot 0 holds the best state: selection ranks it first, and a
-        # fixed run has no other slot.
-        best = pop.fitness.item(0)
-        if derived and best < cfg.threshold:
-            best = residual_norm(sys, pop.states[0])
+    for t in range(cfg.max_generations + 1):
+        if t:
+            if recombining:
+                pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
+                recombine_calls += 1
+            pop = mutate_and_evaluate(pop, sys, variant, work)
+            if adaptive:  # one slot has no pair to adapt, nothing to select
+                omegas, fitness = pop.omegas.tolist(), pop.fitness.tolist()
+                for p in range(0, len(omegas) - 1, 2):
+                    omegas[p], omegas[p + 1] = adapt_pair(
+                        omegas[p], omegas[p + 1], fitness[p], fitness[p + 1], t - 1, rng
+                    )
+                pop = Population(pop.states, pop.fitness, np.array(omegas), pop.products)
+                pop = select_and_reproduce(pop)
+        # After selection slot 0 is best (a fixed run has only slot 0).
+        # A derived fitness that would end the run yields to a direct one.
+        i = 0 if t else pop.best_index()
+        best = pop.fitness.item(i)
+        if derived and t and (t == cfg.max_generations
+                              or not cfg.threshold <= best <= DIVERGENCE_BOUND):
+            with np.errstate(over="ignore", invalid="ignore"):
+                best = residual_norm(sys, pop.states[i])
         trace.append((t, best))
         converged = best < cfg.threshold
         diverged = not converged and not best <= DIVERGENCE_BOUND
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
-    if derived and not converged:
-        with np.errstate(over="ignore", invalid="ignore"):
-            best = residual_norm(sys, pop.states[pop.best_index()])
-        trace[-1] = (t, best)
+        if converged or diverged:
+            break
     return RunResult(
         generations=t,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=(time.perf_counter() - t0) * 1e3,
         final_residual=best,
         converged=converged,
         diverged=diverged,
         trace=trace,
         final_omegas=[float(w) for w in pop.omegas],
-        best_state=np.array(pop.states[pop.best_index()], dtype=np.float64),
+        best_state=np.array(pop.states[i], dtype=np.float64),
         recombine_calls=recombine_calls,
     )

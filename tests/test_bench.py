@@ -184,14 +184,21 @@ def test_bench_plan_validation():
         BenchPlan(problems=(), variants=(Variant.JBTVA,))
     with pytest.raises(ValueError):
         BenchPlan(problems=(_small_problem(),), variants=())
-    with pytest.raises(ValueError):
-        BenchPlan(
-            problems=(_small_problem(),), variants=(Variant.JBTVA,), repetitions=0
-        )
-    # SolverConfig's bounds on the two solver values apply to a plan.
-    for bad in ({"threshold": 0.0}, {"threshold": math.inf}, {"max_generations": -1}):
-        with pytest.raises(ValueError, match=next(iter(bad))):
+    # Each bad value is named by its field; SolverConfig's bounds on
+    # threshold and max_generations apply to a plan.
+    for bad in (
+        {"repetitions": 0}, {"repetitions": 1.5}, {"repetitions": 2.0},
+        {"base_seed": -1}, {"base_seed": 1.5},
+        {"threshold": 0.0}, {"threshold": math.inf},
+        {"max_generations": -1}, {"max_generations": 2.5},
+    ):
+        with pytest.raises(ValueError, match="^" + next(iter(bad))):
             BenchPlan(problems=(_small_problem(),), variants=(Variant.JBTVA,), **bad)
+    plan = BenchPlan(
+        problems=(_small_problem(),), variants=(Variant.JBTVA,),
+        repetitions=np.int64(2), base_seed=np.uint64(5), max_generations=np.int32(9),
+    )
+    assert (plan.repetitions, plan.base_seed, plan.max_generations) == (2, 5, 9)
 
 
 # --------------------------------------------------------------------- CSV
@@ -247,6 +254,22 @@ def test_read_csv_rejects_malformed_input():
         read_csv(io.StringIO(good + "P1,JBTVA,1,2,3.0,4.0,maybe,00000000000000ff\n"))
     with pytest.raises(ValueError):
         read_csv(io.StringIO(good + "P1,JBTVA,x,2,3.0,4.0,true,00000000000000ff\n"))
+    # Every row write_csv cannot write is refused at its line.
+    ok = ["P1", "JBTVA", "5", "3", "1.0", "2.0", "true", "00000000000000ff"]
+    for k, bad in [
+        (2, "-5"), (2, "+5"), (2, " 5"), (2, "5_0"),
+        (3, "-3"), (3, "3.0"),
+        (7, "-AB"), (7, "ff"), (7, "00000000000000FF"), (7, "0x000000000000ff"),
+        (7, "000000000000000ff"),
+    ]:
+        rec = ok[:k] + [bad] + ok[k + 1:]
+        with pytest.raises(ValueError, match="^line 3: " + CSV_HEADER.split(",")[k]):
+            read_csv(io.StringIO(good + ",".join(ok) + "\n" + ",".join(rec) + "\n"))
+    with pytest.raises(ValueError, match="^line 2: seed"):
+        read_csv(io.StringIO(good + "P1,NOPE,-5,-3,nan,-1,true,-AB\n"))
+    assert read_csv(io.StringIO(good + ",".join(ok) + "\n")) == [
+        BenchRow("P1", "JBTVA", 5, 3, 1.0, 2.0, True, 0xFF)
+    ]
 
 
 def test_summarize_exact_means():

@@ -101,11 +101,15 @@ def test_solver_config_validation():
     for threshold in (0.0, -1e-7, math.inf, math.nan):
         with pytest.raises(ValueError, match="threshold"):
             SolverConfig(variant=Variant.JBTVA, threshold=threshold)
-    with pytest.raises(ValueError):
-        SolverConfig(variant=Variant.JBTVA, max_generations=-1)
-    for seed in (-1, 2**64):
-        with pytest.raises(ValueError, match="seed"):
+    for cap in (-1, 2.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="^max_generations"):
+            SolverConfig(variant=Variant.JBTVA, max_generations=cap)
+    for seed in (-1, 2**64, 1.5, 1.0):
+        with pytest.raises(ValueError, match="^seed"):
             SolverConfig(variant=Variant.JBTVA, seed=seed)
+    # numpy integers are integers
+    cfg = SolverConfig(variant=Variant.JBTVA, max_generations=np.int64(3), seed=np.uint64(7))
+    assert (cfg.max_generations, cfg.seed) == (3, 7)
     for omega in (math.inf, -math.inf, math.nan, 0.0, -1.0, 2.0, 2.5):
         with pytest.raises(ValueError, match="fixed_omega"):
             SolverConfig(variant=Variant.FIXED_GS_SR, fixed_omega=omega)
@@ -425,6 +429,34 @@ def test_selection_never_discards_best():
         assert out.fitness.min() == pop.fitness.min()
 
 
+@pytest.mark.parametrize(
+    "fitness, best",
+    [([math.nan, 1.0], 1), ([1.0, math.nan], 0), ([2.0, 2.0], 0), ([math.nan, math.nan], 0),
+     ([math.inf, math.nan], 0), ([3.0, math.nan, 1.0, 1.0], 2)],
+)
+def test_best_index_is_the_slot_selection_keeps(fitness, best):
+    # One ranking: lower fitness first, ties to the lower slot, NaN last.
+    n_pop = len(fitness)
+    pop = Population(np.arange(n_pop * 2.0).reshape(n_pop, 2), np.array(fitness),
+                     init_relaxation_factors(n_pop))
+    assert pop.best_index() == best
+    assert np.array_equal(select_and_reproduce(pop).states[0], pop.states[best])
+
+
+@pytest.mark.parametrize("variant", ADAPTIVE)
+def test_generation_0_is_judged_on_the_best_ranked_slot(monkeypatch, variant):
+    # Slot 1 has already converged; slot 0's NaN must not hide it.
+    sys_ = _dominant_system(4, seed=1)
+    x1 = np.linalg.solve(sys_.a, sys_.b)
+    start = Population(np.array([np.full(4, np.nan), x1]), np.array([math.nan, 1e-9]),
+                       init_relaxation_factors(2))
+    monkeypatch.setattr(evolution, "init_population", lambda *args: start)
+    res = run_solver(sys_, SolverConfig(variant=variant, seed=0))
+    assert res.converged and not res.diverged
+    assert res.generations == 0 and res.trace == [(0, 1e-9)]
+    assert res.best_state.tobytes() == x1.tobytes()
+
+
 def test_selection_requires_evaluation():
     pop = Population(
         states=np.zeros((2, 2)), fitness=None, omegas=np.array([0.5, 1.5])
@@ -543,19 +575,20 @@ def test_fixed_variant_matches_plain_loop(variant, step, case, sys_, max_generat
         variant=variant, seed=0, fixed_omega=0.9, max_generations=max_generations
     )
     x = np.zeros(sys_.n)
-    trace = [(0, float(np.linalg.norm(sys_.a @ x - sys_.b)))]
-    bounds = [0.0]
-    converged = trace[0][1] < cfg.threshold
-    diverged = False
-    while not (converged or diverged) and len(trace) <= cfg.max_generations:
-        x_old, x = x, step(sys_, x, cfg.fixed_omega)
+    trace, bounds = [], [0.0]
+    for t in range(cfg.max_generations + 1):
+        if t:
+            x_old, x = x, step(sys_, x, cfg.fixed_omega)
         with np.errstate(over="ignore", invalid="ignore"):
             res = float(np.linalg.norm(sys_.a @ x - sys_.b))
-            ux = np.triu(sys_.a, 1) @ x_old
-            bounds.append(_derived_fitness_bound(sys_, x_old, x, cfg.fixed_omega, ux))
-        trace.append((len(trace), res))
+            if t:
+                ux = np.triu(sys_.a, 1) @ x_old
+                bounds.append(_derived_fitness_bound(sys_, x_old, x, cfg.fixed_omega, ux))
+        trace.append((t, res))
         converged = res < cfg.threshold
         diverged = not converged and not res <= DIVERGENCE_BOUND
+        if converged or diverged:
+            break
 
     out = run_solver(sys_, cfg)
     assert (out.converged, out.diverged) == (case == "converged", case == "diverged")
@@ -584,33 +617,31 @@ def _plain_adaptive_loop(sys_, cfg):
     work = gauss_seidel_work(sys_)
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(sys_, cfg, rng)
-    best = float(pop.fitness.min())
-    trace = [(0, best)]
+    trace = []
     equal_parents = []
-    converged, diverged = best < cfg.threshold, False
-    while not (converged or diverged) and len(trace) <= cfg.max_generations:
-        t = len(trace) - 1
-        if variant.uses_recombination:
-            r = make_stochastic_matrix(pop.size, rng)
-            equal_parents.append(pop.states[0].tobytes() == pop.states[1].tobytes())
-            pop = recombine(pop, r)
-        pop = mutate_and_evaluate(pop, sys_, variant, work)
-        omegas = pop.omegas.copy()
-        omegas[0], omegas[1] = adapt_pair(
-            omegas[0], omegas[1], pop.fitness[0], pop.fitness[1], t, rng
-        )
-        pop = Population(pop.states, pop.fitness, omegas, pop.products)
-        pop = select_and_reproduce(pop)
-        best = float(pop.fitness.min())
-        if gauss_seidel and best < cfg.threshold:
-            best = residual_norm(sys_, pop.states[pop.best_index()])
-        trace.append((t + 1, best))
+    for t in range(cfg.max_generations + 1):
+        if t:
+            if variant.uses_recombination:
+                r = make_stochastic_matrix(pop.size, rng)
+                equal_parents.append(pop.states[0].tobytes() == pop.states[1].tobytes())
+                pop = recombine(pop, r)
+            pop = mutate_and_evaluate(pop, sys_, variant, work)
+            omegas = pop.omegas.copy()
+            omegas[0], omegas[1] = adapt_pair(
+                omegas[0], omegas[1], pop.fitness[0], pop.fitness[1], t - 1, rng
+            )
+            pop = Population(pop.states, pop.fitness, omegas, pop.products)
+            pop = select_and_reproduce(pop)
+        best = float(pop.fitness[pop.best_index()])
+        ends = t == cfg.max_generations or not cfg.threshold <= best <= DIVERGENCE_BOUND
+        if gauss_seidel and t and ends:
+            with np.errstate(over="ignore", invalid="ignore"):
+                best = residual_norm(sys_, pop.states[pop.best_index()])
+        trace.append((t, best))
         converged = best < cfg.threshold
         diverged = not converged and not best <= DIVERGENCE_BOUND
-    if gauss_seidel and not converged:
-        with np.errstate(over="ignore", invalid="ignore"):
-            best = residual_norm(sys_, pop.states[pop.best_index()])
-        trace[-1] = (len(trace) - 1, best)
+        if converged or diverged:
+            break
     outcome = (converged, diverged, trace, pop.states[pop.best_index()], pop.omegas)
     return outcome, equal_parents
 
@@ -759,6 +790,13 @@ def test_overflowing_start_diverges_without_a_warning():
             warnings.simplefilter("error")
             res = run_solver(sys_, SolverConfig(variant=variant, seed=0))
         assert res.diverged and not res.converged, variant
+        if variant.is_fixed:
+            # The fixed variants start at x = 0, whose residual is ||b|| = 2.
+            assert res.trace[0] == (0, 2.0) and res.generations == 1, variant
+        else:
+            # The starting residual has overflowed: the run stops before
+            # generation 1.
+            assert res.generations == 0 and res.trace == [(0, math.inf)], variant
 
 
 @st.composite
@@ -790,6 +828,10 @@ def test_run_solver_properties_on_arbitrary_systems(sys_, max_generations, seed)
             assert res.final_residual < cfg.threshold
         elif not res.diverged:
             assert res.generations == max_generations
+        if res.diverged:
+            assert not res.final_residual <= DIVERGENCE_BOUND
+        if not res.trace[0][1] <= DIVERGENCE_BOUND:
+            assert res.generations == 0
         with np.errstate(over="ignore", invalid="ignore"):
             direct = residual_norm(sys_, res.best_state)
         assert res.final_residual == direct or (

@@ -337,6 +337,13 @@ def test_problem_spec_validation():
         family_spec("P1", 2**30, 0)
     with pytest.raises(ValueError):
         family_spec("P1", 5, -3)
+    for n in (2.5, 2.0, "4"):
+        with pytest.raises(ValueError, match="^n "):
+            ProblemSpec("P1", n, 0)
+    for seed in (1.5, 0.0):
+        with pytest.raises(ValueError, match="^seed "):
+            ProblemSpec("P1", 4, seed)
+    assert ProblemSpec("P1", np.int64(4), np.uint64(3)) == family_spec("P1", 4, 3)
     with pytest.raises(ValueError):
         UniformRule(2.0, 2.0)
     with pytest.raises(ValueError):
