@@ -17,14 +17,14 @@ factor stays constant.
 Each slot carries the matrix product its next sweep needs: ``A x`` for a
 Jacobi slot, ``U x`` for a Gauss-Seidel slot (U the strict upper
 triangle of A). Recombination maps the products with the same matrix as
-the states, and selection copies them with the states. Per generation a
-slot then reads A once. A Jacobi slot reads it for its residual
-``A x' - b``, whose product ``A x'`` it carries on. A Gauss-Seidel slot
-reads the lower triangle in its forward substitution and the upper one
-for ``U x'``, and derives its residual from the sweep's own products.
-Its trace entries are such derived values, except an entry that ends
-the run, which is a direct residual. A Gauss-Seidel run holds one
-n-by-n work copy of A to solve in.
+the states, and selection copies them with the states. A Gauss-Seidel
+slot reads the lower triangle of the run's n-by-n work copy of A to
+solve, the upper one for ``U x'``, and derives its residual from these.
+A Jacobi slot reads A for ``A x'``, but from generation 2 on an adaptive
+run's slots hold one survivor, and one product ``A d`` of its step
+``d = (b - A x) / D`` gives each ``A x' = A x + w A d``. Of these derived
+trace entries, one that ends the run is a direct residual, and so is an
+adaptive Jacobi one below ``REFRESH_RATIO`` of the peak since the last.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .iteration import (
     jacobi_sr_step,
     upper_product,
 )
-from .linalg import LinearSystem, residual_norm, vector_norm
+from .linalg import LinearSystem, checked_real, residual_norm, vector_norm
 
 __all__ = [
     "OMEGA_MARGIN",
@@ -88,6 +88,10 @@ INIT_HI = 30.0
 # stops as diverged.
 DIVERGENCE_BOUND = 1e12
 
+# An adaptive Jacobi run recomputes its shared product directly once its
+# residual falls below this share of the peak since the last direct one.
+REFRESH_RATIO = 1e-4
+
 
 class Variant(str, Enum):
     """Solver variants: adaptive hybrids and fixed-factor baselines."""
@@ -128,7 +132,7 @@ class SolverConfig:
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
         # An infinite threshold would count every run as converged.
-        if not 0.0 < self.threshold < math.inf:
+        if not 0.0 < checked_real("threshold", self.threshold) < math.inf:
             raise ValueError(
                 f"threshold must be positive and finite, got {self.threshold!r}"
             )
@@ -139,7 +143,7 @@ class SolverConfig:
         # Neither relaxed sweep converges for a factor outside (0, 2): SOR
         # by Kahan's bound, JOR because the eigenvalues of its iteration
         # matrix I - w D^-1 A average 1 - w.
-        if not 0.0 < self.fixed_omega < 2.0:
+        if not 0.0 < checked_real("fixed_omega", self.fixed_omega) < 2.0:
             raise ValueError(
                 f"fixed_omega must lie in the open interval (0, 2), got {self.fixed_omega!r}"
             )
@@ -178,11 +182,11 @@ class RunResult:
     """Outcome of one solver run.
 
     ``trace`` holds one ``(generation, best_residual)`` pair per
-    generation starting at 0. A Gauss-Seidel run's entries from
-    generation 1 on are derived fitnesses, except the one that ends the
-    run, which is a direct residual. ``final_residual`` is that last
-    entry, the direct residual of ``best_state``. ``elapsed_ms`` is wall
-    time around the iteration loop only. ``recombine_calls`` counts
+    generation starting at 0. Gauss-Seidel entries from generation 1 on
+    and adaptive Jacobi ones from generation 2 on are derived fitnesses,
+    but refreshed ones and the last are direct residuals: ``final_residual``
+    is the last, the direct residual of ``best_state``. ``elapsed_ms`` is
+    wall time around the iteration loop only. ``recombine_calls`` counts
     executed recombination stages, zero for the M* and fixed variants.
     """
 
@@ -345,20 +349,25 @@ def mutate_and_evaluate(
     sys: LinearSystem,
     variant: Variant,
     work: np.ndarray | None = None,
+    shared: bool = False,
 ) -> Population:
     """One relaxed sweep per slot with its own omega, then re-evaluate.
 
     The sweep is Jacobi or Gauss-Seidel according to the variant, and
-    reuses the slot's carried product when there is one. A Jacobi slot's
-    fitness is the direct ``||A x' - b||`` and it carries ``A x'``. A
-    Gauss-Seidel slot carries ``U x'`` and derives its fitness, up to
-    rounding, as ``||((1-w)/w) D (x - x') + (U x' - U x)||`` (w in (0, 2)).
+    reuses the slot's carried product when there is one. A Jacobi slot
+    carries ``A x'``, its fitness is ``||A x' - b||``. With ``shared``
+    (all slots hold one state and product, up to recombination's
+    rounding) ``A x' = A x + w A d`` for slot 0's ``d = (b - A x) / D``,
+    one product for all. A Gauss-Seidel slot carries ``U x'`` and derives
+    its fitness as ``||((1-w)/w) D (x - x') + (U x' - U x)||`` (w in (0, 2)).
     ``work`` is the run's ``gauss_seidel_work`` copy of A; a Gauss-Seidel
     call without one makes its own. Norms are ``linalg.vector_norm``,
     bit for bit ``np.linalg.norm``. Non-finite states are propagated
     as-is; the run loop's divergence check deals with them.
     """
     jacobi = variant.method == "jacobi"
+    if shared and (not jacobi or pop.products is None):
+        raise ValueError("shared needs a Jacobi population with carried products")
     if not jacobi and work is None:
         work = gauss_seidel_work(sys)
     carried = [None] * pop.size if pop.products is None else pop.products
@@ -366,12 +375,16 @@ def mutate_and_evaluate(
     products = np.empty(pop.states.shape)
     fitness = []
     with np.errstate(over="ignore", invalid="ignore"):
+        a_delta = np.dot(sys.a, (sys.b - carried[0]) / sys.diag) if shared else None
         for x, omega, product, new, new_product in zip(
             pop.states, pop.omegas.tolist(), carried, states, products
         ):
             if jacobi:
                 new[:] = jacobi_sr_step(sys, x, omega, ax=product)
-                np.dot(sys.a, new, out=new_product)
+                if shared:
+                    np.add(product, omega * a_delta, out=new_product)
+                else:
+                    np.dot(sys.a, new, out=new_product)
                 fitness.append(vector_norm(new_product - sys.b))
             else:
                 ux = upper_product(work, x) if product is None else product
@@ -405,9 +418,9 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     Every trace entry, generation 0 included, is judged by one rule: the
     run converges when the best residual is below ``cfg.threshold``,
     diverges when it exceeds ``DIVERGENCE_BOUND`` or turns non-finite,
-    and is capped at ``cfg.max_generations``. A derived Gauss-Seidel
-    entry that would end the run is first replaced by the direct residual
-    of its state, which then decides. All randomness comes from one PCG64
+    and is capped at ``cfg.max_generations``. A derived entry that would
+    end the run is first replaced by the direct residual of its state,
+    which then decides. All randomness comes from one PCG64
     generator seeded with ``cfg.seed``; the draw order is: initial
     states, then per generation a stochastic matrix (recombining variants
     only) followed by two Gaussians per adapted pair. Fixed variants draw
@@ -420,17 +433,17 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     adaptive = not variant.is_fixed
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(sys, cfg, rng)
-    derived = variant.method == "gauss_seidel"
-    work = gauss_seidel_work(sys) if derived else None
+    gauss_seidel = variant.method == "gauss_seidel"
+    work = gauss_seidel_work(sys) if gauss_seidel else None
     trace = []
-    recombine_calls = 0
+    peak = 0.0
     t0 = time.perf_counter()
     for t in range(cfg.max_generations + 1):
+        shared = t > 1 and adaptive and not gauss_seidel
         if t:
             if recombining:
                 pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
-                recombine_calls += 1
-            pop = mutate_and_evaluate(pop, sys, variant, work)
+            pop = mutate_and_evaluate(pop, sys, variant, work, shared=shared)
             if adaptive:  # one slot has no pair to adapt, nothing to select
                 omegas, fitness = pop.omegas.tolist(), pop.fitness.tolist()
                 for p in range(0, len(omegas) - 1, 2):
@@ -439,14 +452,19 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
                     )
                 pop = Population(pop.states, pop.fitness, np.array(omegas), pop.products)
                 pop = select_and_reproduce(pop)
-        # After selection slot 0 is best (a fixed run has only slot 0).
-        # A derived fitness that would end the run yields to a direct one.
+        # After selection slot 0 is best (a fixed run has only slot 0). A derived
+        # fitness that would end the run, or a shared one far down, yields to a direct one.
         i = 0 if t else pop.best_index()
         best = pop.fitness.item(i)
-        if derived and t and (t == cfg.max_generations
-                              or not cfg.threshold <= best <= DIVERGENCE_BOUND):
+        ends = t == cfg.max_generations or not cfg.threshold <= best <= DIVERGENCE_BOUND
+        if shared and (ends or best < REFRESH_RATIO * peak):
+            with np.errstate(over="ignore", invalid="ignore"):
+                pop.products[:] = np.dot(sys.a, pop.states[0])  # all slots hold it
+                best, shared = vector_norm(pop.products[0] - sys.b), False
+        elif gauss_seidel and t and ends:
             with np.errstate(over="ignore", invalid="ignore"):
                 best = residual_norm(sys, pop.states[i])
+        peak = max(peak, best) if shared else best
         trace.append((t, best))
         converged = best < cfg.threshold
         diverged = not converged and not best <= DIVERGENCE_BOUND
@@ -461,5 +479,5 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
         trace=trace,
         final_omegas=[float(w) for w in pop.omegas],
         best_state=np.array(pop.states[i], dtype=np.float64),
-        recombine_calls=recombine_calls,
+        recombine_calls=t if recombining else 0,
     )

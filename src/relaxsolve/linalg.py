@@ -9,6 +9,7 @@ between threads and reused across many iteration sweeps.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,16 +47,19 @@ class LinearSystem:
     b : array_like
         Right-hand side vector of length n, finite entries.
 
-    Both arrays are copied and made read-only on construction. The copy
-    of ``a`` is row-major (C order) whatever the layout passed in, so
-    its rows are contiguous for hashing and for the BLAS kernels.
+    Both arrays are copied and made read-only, ``a`` row-major (C order)
+    so that its rows are contiguous for hashing and the BLAS kernels. An
+    ``a`` that already is all that, float64 and owning its data, is kept.
     """
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=np.float64, order="C")
+        a = self.a
+        if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
+                and a.flags.c_contiguous and not a.flags.writeable):
+            a = np.array(a, dtype=np.float64, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"a must be square 2-D, got shape {a.shape}")
         b = np.array(self.b, dtype=np.float64)
@@ -88,6 +92,13 @@ class LinearSystem:
         d = np.diagonal(self.a).copy()
         d.setflags(write=False)
         return d
+
+
+def checked_real(name: str, value):
+    """``value``; a ValueError starting with ``name`` unless it is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def check_state(sys: LinearSystem, x) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .linalg import DIAG_FLOOR, LinearSystem
+from .linalg import DIAG_FLOOR, LinearSystem, checked_real
 
 __all__ = [
     "ConstRule",
@@ -59,11 +59,11 @@ class ConstRule:
     value: float
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
+        if not math.isfinite(checked_real("value", self.value)):
             raise ValueError(f"constant rule needs a finite value, got {self.value!r}")
 
     def __str__(self) -> str:
-        return f"const:{self.value!r}"
+        return f"const:{self.value}"
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class UniformRule:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
+        if not checked_real("lo", self.lo) < checked_real("hi", self.hi):
             raise ValueError(f"uniform rule needs lo < hi, got ({self.lo}, {self.hi})")
         if not math.isfinite(self.hi - self.lo):
             raise ValueError(
@@ -82,7 +82,7 @@ class UniformRule:
             )
 
     def __str__(self) -> str:
-        return f"uniform:{self.lo!r},{self.hi!r}"
+        return f"uniform:{self.lo},{self.hi}"
 
     @property
     def spans_zero(self) -> bool:
@@ -240,7 +240,7 @@ def _fill(rule: Rule, shape, rng: np.random.Generator, i, j, min_abs: float = 0.
         return np.full(shape, float(rule.value))
     if isinstance(rule, FormulaRule):
         vals = np.broadcast_to(rule.evaluate(i, j, shape[0]), shape)
-        return np.array(vals, dtype=np.float64)
+        return np.array(vals, dtype=np.float64, order="C")
     vals = rng.uniform(rule.lo, rule.hi, size=shape)
     while min_abs > 0.0 and (bad := np.abs(vals) < min_abs).any():
         vals[bad] = rng.uniform(rule.lo, rule.hi, size=int(bad.sum()))
@@ -269,6 +269,7 @@ def generate_problem(
     a = _fill(spec.offdiag_rule, (n, n), rng, i[:, None], i[None, :])
     min_abs = _diag_min_abs(diag) if isinstance(diag, UniformRule) else 0.0
     np.fill_diagonal(a, _fill(diag, (n,), rng, i, i, min_abs))
+    a.setflags(write=False)  # so LinearSystem keeps it without a copy
     return LinearSystem(a, _fill(spec.rhs_rule, (n,), rng, i, i))
 
 

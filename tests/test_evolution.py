@@ -113,6 +113,13 @@ def test_solver_config_validation():
     for omega in (math.inf, -math.inf, math.nan, 0.0, -1.0, 2.0, 2.5):
         with pytest.raises(ValueError, match="fixed_omega"):
             SolverConfig(variant=Variant.FIXED_GS_SR, fixed_omega=omega)
+    # A bool or a non-real is rejected at its field, not with a TypeError.
+    for field in ("threshold", "fixed_omega"):
+        for value in ("1", None, True, np.bool_(True), 1j):
+            with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+                SolverConfig(variant=Variant.JBTVA, **{field: value})
+    cfg = SolverConfig(variant=Variant.JBTVA, threshold=np.float32(1e-6), fixed_omega=1)
+    assert (cfg.threshold, cfg.fixed_omega) == (np.float32(1e-6), 1)
     # generation cap of zero is legal (a run that may not iterate)
     assert SolverConfig(variant=Variant.JBTVA, max_generations=0).max_generations == 0
     # variant given as plain string is coerced
@@ -467,18 +474,28 @@ def test_selection_requires_evaluation():
 
 # ------------------------------------------------------- carried products
 
-@pytest.mark.parametrize("variant", [Variant.JBTVA, Variant.GSBTVA])
-def test_carried_products_match_recomputation(variant):
+@pytest.mark.parametrize(
+    "variant, n_pop",
+    [
+        pytest.param(Variant.JBTVA, 4, id="JBTVA"),
+        pytest.param(Variant.GSBTVA, 4, id="GSBTVA"),
+        pytest.param(Variant.JBTVA, 2, id="JBTVA-shared"),
+        pytest.param(Variant.MJBTVA, 2, id="MJBTVA-shared"),
+    ],
+)
+def test_carried_products_match_recomputation(variant, n_pop):
     # Rows of ``products`` are A x (Jacobi) or U x (Gauss-Seidel); after
     # every stage they must equal a fresh product of the states up to the
-    # rounding of n-term sums.
+    # rounding of n-term sums. Four slots make recombination mix and
+    # selection drop two states. Two Jacobi slots hold copies of one
+    # survivor after the first selection, so from then on they step from
+    # its shared product A delta, as in a run.
     sys_ = generate_problem(family_spec("P7", 30, 0))
     m = sys_.a if variant.method == "jacobi" else np.triu(sys_.a, 1)
     work = gauss_seidel_work(sys_) if variant.method == "gauss_seidel" else None
     rng = np.random.default_rng(4)
-    # Four slots, so recombination mixes and selection drops two states.
-    states = rng.uniform(-30.0, 30.0, size=(4, sys_.n))
-    pop = _evaluated_population(sys_, states, init_relaxation_factors(4))
+    states = rng.uniform(-30.0, 30.0, size=(n_pop, sys_.n))
+    pop = _evaluated_population(sys_, states, init_relaxation_factors(n_pop))
     assert pop.products is None
 
     def check(pop, scale):
@@ -486,19 +503,58 @@ def test_carried_products_match_recomputation(variant):
         assert err <= 8 * sys_.n * EPS * scale
 
     for _ in range(4):
+        shared = variant.method == "jacobi" and n_pop == 2 and pop.products is not None
         scale = np.max(np.abs(pop.states) @ np.abs(m).T)
-        pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
+        if variant.uses_recombination:
+            pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
         if pop.products is not None:
             check(pop, scale)
-        pop = mutate_and_evaluate(pop, sys_, variant, work)
+        carried = pop.products
+        pop = mutate_and_evaluate(pop, sys_, variant, work, shared=shared)
         scale = np.max(np.abs(pop.states) @ np.abs(m).T)
         check(pop, scale)
-        if variant.method == "jacobi":
+        if shared:
+            a_delta = sys_.a @ ((sys_.b - carried[0]) / sys_.diag)
+            want = [p + w * a_delta for p, w in zip(carried, pop.omegas)]
+            assert np.array_equal(pop.products, want)
+        elif variant.method == "jacobi":
             assert np.array_equal(pop.products, [sys_.a @ s for s in pop.states])
+        if variant.method == "jacobi":
+            assert pop.fitness.tolist() == [np.linalg.norm(p - sys_.b) for p in pop.products]
         pop = select_and_reproduce(pop)
         check(pop, scale)
     if work is not None:
         assert not np.diagonal(work).any()  # every step zeroes what it wrote
+
+
+def test_shared_product_needs_carried_jacobi_products():
+    pop = _evaluated_population(SYS2, [[0.0, 0.0], [0.0, 0.0]], [0.5, 1.5])
+    with pytest.raises(ValueError, match="shared"):
+        mutate_and_evaluate(pop, SYS2, Variant.MJBTVA, shared=True)
+    pop = mutate_and_evaluate(pop, SYS2, Variant.MGSBTVA)
+    with pytest.raises(ValueError, match="shared"):
+        mutate_and_evaluate(pop, SYS2, Variant.MGSBTVA, shared=True)
+
+
+def test_refresh_keeps_shared_runs_on_the_direct_path(monkeypatch):
+    # P8's residual falls by some 13 decades in a run, while the rounding
+    # that the shared products A x + w A delta carry on piles up; without
+    # the refresh most of these runs end a dozen generations or more later
+    # than with products recomputed every generation.
+    systems = [generate_problem(family_spec("P8", 200, seed)) for seed in range(8)]
+
+    def generations():
+        return [
+            run_solver(sys_, SolverConfig(variant=Variant.MJBTVA, seed=seed)).generations
+            for seed, sys_ in enumerate(systems)
+        ]
+
+    got = generations()
+    real = evolution.mutate_and_evaluate
+    monkeypatch.setattr(
+        evolution, "mutate_and_evaluate", lambda *args, shared: real(*args)
+    )
+    assert got == generations()
 
 
 # --------------------------------------------------------------- full runs
@@ -609,8 +665,14 @@ def test_fixed_variant_matches_plain_loop(variant, step, case, sys_, max_generat
 def _plain_adaptive_loop(sys_, cfg):
     """``run_solver`` for an adaptive variant, spelled out in stage calls.
 
-    Returns the run's outcome and, per recombining generation, whether
-    the two parents were equal just before recombination.
+    From generation 2 on, a Jacobi generation steps both copies of the
+    survivor from one shared product. Such an entry is replaced by the
+    direct residual of its state, and that direct product is carried on,
+    when it would end the run or has fallen below ``REFRESH_RATIO`` of
+    its peak since the last direct entry. Returns the run's outcome, per
+    recombining generation whether the two parents were equal just before
+    recombination, and the number of refreshed entries that did not end
+    the run.
     """
     variant = cfg.variant
     gauss_seidel = variant.method == "gauss_seidel"
@@ -619,13 +681,16 @@ def _plain_adaptive_loop(sys_, cfg):
     pop = init_population(sys_, cfg, rng)
     trace = []
     equal_parents = []
+    refreshes = 0
+    peak = 0.0
     for t in range(cfg.max_generations + 1):
+        shared = not gauss_seidel and t > 1
         if t:
             if variant.uses_recombination:
                 r = make_stochastic_matrix(pop.size, rng)
                 equal_parents.append(pop.states[0].tobytes() == pop.states[1].tobytes())
                 pop = recombine(pop, r)
-            pop = mutate_and_evaluate(pop, sys_, variant, work)
+            pop = mutate_and_evaluate(pop, sys_, variant, work, shared=shared)
             omegas = pop.omegas.copy()
             omegas[0], omegas[1] = adapt_pair(
                 omegas[0], omegas[1], pop.fitness[0], pop.fitness[1], t - 1, rng
@@ -634,16 +699,24 @@ def _plain_adaptive_loop(sys_, cfg):
             pop = select_and_reproduce(pop)
         best = float(pop.fitness[pop.best_index()])
         ends = t == cfg.max_generations or not cfg.threshold <= best <= DIVERGENCE_BOUND
-        if gauss_seidel and t and ends:
+        if shared and (ends or best < evolution.REFRESH_RATIO * peak):
+            refreshes += not ends
+            with np.errstate(over="ignore", invalid="ignore"):
+                ax = sys_.a @ pop.states[pop.best_index()]
+                best = float(np.linalg.norm(ax - sys_.b))
+            pop = Population(pop.states, pop.fitness, pop.omegas, np.array([ax, ax]))
+            shared = False
+        elif gauss_seidel and t and ends:
             with np.errstate(over="ignore", invalid="ignore"):
                 best = residual_norm(sys_, pop.states[pop.best_index()])
+        peak = max(peak, best) if shared else best
         trace.append((t, best))
         converged = best < cfg.threshold
         diverged = not converged and not best <= DIVERGENCE_BOUND
         if converged or diverged:
             break
     outcome = (converged, diverged, trace, pop.states[pop.best_index()], pop.omegas)
-    return outcome, equal_parents
+    return outcome, equal_parents, refreshes
 
 
 @pytest.mark.parametrize(
@@ -657,7 +730,7 @@ def _plain_adaptive_loop(sys_, cfg):
 @pytest.mark.parametrize("variant", ADAPTIVE)
 def test_adaptive_variant_matches_plain_loop(variant, case, sys_, max_generations):
     cfg = SolverConfig(variant=variant, seed=3, max_generations=max_generations)
-    (converged, diverged, trace, state, omegas), equal_parents = (
+    (converged, diverged, trace, state, omegas), equal_parents, refreshes = (
         _plain_adaptive_loop(sys_, cfg)
     )
 
@@ -673,20 +746,26 @@ def test_adaptive_variant_matches_plain_loop(variant, case, sys_, max_generation
         # With two slots, selection copies the survivor into both, so from
         # the second generation on recombination mixes two equal states.
         assert equal_parents == [False] + [True] * (out.generations - 1)
+    # The converged Jacobi runs fall far enough to refresh on the way.
+    assert (refreshes > 0) == (case == "converged" and variant.method == "jacobi")
 
 
-@pytest.mark.parametrize("variant", [Variant.GSBTVA, Variant.MGSBTVA, Variant.FIXED_GS_SR])
+@pytest.mark.parametrize("variant", ADAPTIVE + [Variant.FIXED_GS_SR])
 def test_derived_convergence_is_confirmed_directly(monkeypatch, variant):
     # A derived fitness below the threshold only stops the run if the
-    # directly computed residual of the best state is below it too.
+    # directly computed residual of the best state is below it too. The
+    # first derived entry is generation 1's for Gauss-Seidel and
+    # generation 2's, the first shared one, for adaptive Jacobi; a Jacobi
+    # run carries the confirming product on.
     sys_ = _dominant_system(10, seed=42)
     real = evolution.mutate_and_evaluate
-    faked = []
+    faked, calls = [], []
 
-    def under_report(pop, *args):
-        out = real(pop, *args)
-        if not faked:
-            faked.append(out.states[0].copy())
+    def under_report(pop, *args, **kwargs):
+        calls.append(pop)
+        out = real(pop, *args, **kwargs)
+        if not faked and (variant.method == "gauss_seidel" or kwargs["shared"]):
+            faked.append((len(calls), out.states[0].copy()))
             fitness = out.fitness.copy()
             fitness[0] = 0.0
             return Population(out.states, fitness, out.omegas, out.products)
@@ -694,11 +773,15 @@ def test_derived_convergence_is_confirmed_directly(monkeypatch, variant):
 
     monkeypatch.setattr(evolution, "mutate_and_evaluate", under_report)
     res = run_solver(sys_, SolverConfig(variant=variant, seed=5))
-    direct = residual_norm(sys_, faked[0])
+    g, x = faked[0]
+    assert g == (1 if variant.method == "gauss_seidel" else 2)
+    direct = residual_norm(sys_, x)
     assert direct >= 1e-7
-    assert res.trace[1][1] == direct
-    assert res.converged and res.generations > 1
+    assert res.trace[g][1] == direct
+    assert res.converged and res.generations > g
     assert res.final_residual == residual_norm(sys_, res.best_state) < 1e-7
+    if variant is Variant.MJBTVA:
+        assert np.array_equal(calls[g].products, [sys_.a @ x] * 2)
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -69,6 +69,22 @@ def test_arrays_are_copied_and_read_only():
         sys_.b[0] = 5.0
 
 
+def test_frozen_row_major_matrix_is_kept_and_any_other_copied():
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    a.setflags(write=False)
+    assert LinearSystem(a, [3.0, 3.0]).a is a
+    view = np.array([2.0, 1.0, 1.0, 2.0]).reshape(2, 2)  # its base stays writable
+    view.setflags(write=False)
+    column_major = np.asfortranarray(a)
+    column_major.setflags(write=False)
+    single = a.astype(np.float32)
+    single.setflags(write=False)
+    for other in (a.copy(), view, column_major, single, a.tolist()):
+        kept = LinearSystem(other, [3.0, 3.0]).a
+        assert kept is not other and np.array_equal(kept, a)
+        assert kept.flags.owndata and kept.flags.c_contiguous and not kept.flags.writeable
+
+
 def test_triangle_decomposition_reconstructs_exactly():
     # The Gauss-Seidel work copy holds both strict triangles and a zero
     # diagonal, row-major like every generated A.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,12 +27,35 @@ def test_family_ids_complete():
     assert FAMILY_IDS == tuple(f"P{k}" for k in range(1, 11))
 
 
+# problem_hash of each family at n = 30, seed 1: the numpy generator's
+# draws and the formulas fix every entry, whatever the BLAS build.
+FAMILY_HASHES = {
+    "P1": 0x2F7BE564560CA425, "P2": 0x9AB9D3E6AC37F8C1, "P3": 0xCCC922FAE0516905,
+    "P4": 0xD16FE19C8457BD94, "P5": 0x70C02FFAAA5B207D, "P6": 0x23D26B29FE915A38,
+    "P7": 0xBBE09C60C87FCEB2, "P8": 0x67835089CEE21B36, "P9": 0x97F2EE6D2C43B502,
+    "P10": 0x67EAC79734B9CC10,
+}
+
+
 def test_families_generate_distinct_systems():
-    hashes = [
-        problem_hash(generate_problem(family_spec(pid, 30, seed=1)))
+    hashes = {
+        pid: problem_hash(generate_problem(family_spec(pid, 30, seed=1)))
         for pid in FAMILY_IDS
-    ]
-    assert len(set(hashes)) == len(hashes)
+    }
+    assert hashes == FAMILY_HASHES
+    assert len(set(hashes.values())) == len(hashes)
+
+
+@pytest.mark.parametrize("pid", ["P1", "P7"])
+def test_generation_holds_a_once(pid):
+    # The generated matrix is frozen and handed to LinearSystem uncopied.
+    tracemalloc.start()
+    try:
+        sys_ = generate_problem(family_spec(pid, 1500, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * sys_.a.nbytes
 
 
 @pytest.mark.parametrize("pid", FAMILY_IDS)
@@ -346,5 +371,17 @@ def test_problem_spec_validation():
     assert ProblemSpec("P1", np.int64(4), np.uint64(3)) == family_spec("P1", 4, 3)
     with pytest.raises(ValueError):
         UniformRule(2.0, 2.0)
+    # Rule values must be real numbers, and a bool is none: UniformRule(True, 2.0)
+    # would render as uniform:True,2.0, which no parser reads back.
+    for bad in ("1", None, True, np.bool_(False), 1j):
+        with pytest.raises(ValueError, match="^value must be a real number"):
+            ConstRule(bad)
+        with pytest.raises(ValueError, match="^lo must be a real number"):
+            UniformRule(bad, 2.0)
+        with pytest.raises(ValueError, match="^hi must be a real number"):
+            UniformRule(0.0, bad)
+    # numpy reals render as plain numbers, which the parser reads back.
+    assert str(UniformRule(np.int64(-1), np.float64(2.5))) == "uniform:-1,2.5"
+    assert str(ConstRule(np.float32(0.5))) == "const:0.5"
     with pytest.raises(ValueError):
         FormulaRule("p9", "diag")
