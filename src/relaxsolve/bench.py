@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import html
 import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from xml.sax.saxutils import escape
 
 from .evolution import RunResult, SolverConfig, Variant, run_solver
-from .linalg import LinearSystem
+from .linalg import LinearSystem, checked_int
 from .problems import (
     SPEC_KEYS,
     ProblemSpec,
@@ -111,9 +111,9 @@ class BenchPlan:
             raise ValueError("plan needs at least one problem")
         if not self.variants:
             raise ValueError("plan needs at least one variant")
-        if not isinstance(self.repetitions, (int, np.integer)) or self.repetitions < 1:
+        if checked_int("repetitions", self.repetitions) < 1:
             raise ValueError("repetitions must be a positive integer")
-        if not isinstance(self.base_seed, (int, np.integer)) or not 0 <= self.base_seed < 2**64:
+        if not 0 <= checked_int("base_seed", self.base_seed) < 2**64:
             raise ValueError("base_seed must be an unsigned 64-bit integer")
         SolverConfig(
             self.variants[0],
@@ -323,7 +323,7 @@ def emit_trace_svg(
     if title:
         out.append(
             f'<text x="{_ML + plot_w / 2:.1f}" y="{_MT - 10}" '
-            f'text-anchor="middle" font-size="13">{escape(title)}</text>'
+            f'text-anchor="middle" font-size="13">{html.escape(title, quote=False)}</text>'
         )
     for k in range(5):
         gx = x_lo + (x_hi - x_lo) * k / 4
@@ -368,7 +368,7 @@ def emit_trace_svg(
         )
         out.append(
             f'<text x="{_ML + plot_w - 105}" y="{ly + 9}" font-size="11">'
-            f"{escape(label)}</text>"
+            f"{html.escape(label, quote=False)}</text>"
         )
     out.append("</svg>")
     sink.write("\n".join(out) + "\n")

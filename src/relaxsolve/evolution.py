@@ -33,6 +33,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .iteration import (
     jacobi_sr_step,
     upper_product,
 )
-from .linalg import LinearSystem, checked_real, residual_norm, vector_norm
+from .linalg import LinearSystem, checked_int, checked_real, residual_norm, vector_norm
 
 __all__ = [
     "OMEGA_MARGIN",
@@ -103,18 +104,19 @@ class Variant(str, Enum):
     FIXED_JACOBI_SR = "FIXED_JACOBI_SR"
     FIXED_GS_SR = "FIXED_GS_SR"
 
+    # Plain value strings: comparing them skips the enum's member lookups.
     @property
     def uses_recombination(self) -> bool:
-        return self in (Variant.JBTVA, Variant.GSBTVA)
+        return self._value_ in ("JBTVA", "GSBTVA")
 
     @property
     def is_fixed(self) -> bool:
-        return self in (Variant.FIXED_JACOBI_SR, Variant.FIXED_GS_SR)
+        return self._value_ in ("FIXED_JACOBI_SR", "FIXED_GS_SR")
 
     @property
     def method(self) -> str:
         """The underlying sweep: ``"jacobi"`` or ``"gauss_seidel"``."""
-        if self in (Variant.JBTVA, Variant.MJBTVA, Variant.FIXED_JACOBI_SR):
+        if self._value_ in ("JBTVA", "MJBTVA", "FIXED_JACOBI_SR"):
             return "jacobi"
         return "gauss_seidel"
 
@@ -136,9 +138,9 @@ class SolverConfig:
             raise ValueError(
                 f"threshold must be positive and finite, got {self.threshold!r}"
             )
-        if not isinstance(self.max_generations, (int, np.integer)) or self.max_generations < 0:
+        if checked_int("max_generations", self.max_generations) < 0:
             raise ValueError("max_generations must be a nonnegative integer")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        if not 0 <= checked_int("seed", self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         # Neither relaxed sweep converges for a factor outside (0, 2): SOR
         # by Kahan's bound, JOR because the eigenvalues of its iteration
@@ -149,10 +151,10 @@ class SolverConfig:
             )
 
 
-@dataclass(frozen=True)
-class Population:
+class Population(NamedTuple):
     """N population slots: states, their fitnesses, slot-resident omegas.
 
+    An immutable ``NamedTuple``, which builds in half a dataclass's time.
     ``fitness`` is None while the states have been changed but not yet
     re-evaluated. Relaxation factors belong to slots, not to individuals:
     selection copies states around but never moves omegas. Row i of
@@ -315,11 +317,11 @@ def adapt_pair(
 
 
 def make_stochastic_matrix(n_pop: int, rng: np.random.Generator) -> np.ndarray:
-    """Random row-stochastic matrix: uniform(0,1) entries, rows normalized."""
+    """Random row-stochastic matrix: uniform [0, 1) entries, rows normalized."""
     if n_pop < 1:
         raise ValueError("n_pop must be at least 1")
-    r = rng.uniform(0.0, 1.0, size=(n_pop, n_pop))
-    return r / r.sum(axis=1, keepdims=True)
+    r = rng.random((n_pop, n_pop))
+    return r / np.add.reduce(r, axis=1, keepdims=True)
 
 
 def recombine(pop: Population, r: np.ndarray) -> Population:
@@ -371,28 +373,26 @@ def mutate_and_evaluate(
     if not jacobi and work is None:
         work = gauss_seidel_work(sys)
     carried = [None] * pop.size if pop.products is None else pop.products
-    states = np.empty(pop.states.shape)
-    products = np.empty(pop.states.shape)
-    fitness = []
+    if not jacobi and pop.products is None:
+        carried = np.array([upper_product(work, x) for x in pop.states])
+    slots = zip(pop.states, pop.omegas.tolist(), carried)
     with np.errstate(over="ignore", invalid="ignore"):
-        a_delta = np.dot(sys.a, (sys.b - carried[0]) / sys.diag) if shared else None
-        for x, omega, product, new, new_product in zip(
-            pop.states, pop.omegas.tolist(), carried, states, products
-        ):
-            if jacobi:
-                new[:] = jacobi_sr_step(sys, x, omega, ax=product)
-                if shared:
-                    np.add(product, omega * a_delta, out=new_product)
-                else:
-                    np.dot(sys.a, new, out=new_product)
-                fitness.append(vector_norm(new_product - sys.b))
+        if jacobi:
+            states = np.array([jacobi_sr_step(sys, x, w, ax=ax) for x, w, ax in slots])
+            if shared:
+                a_delta = np.dot(sys.a, (sys.b - carried[0]) / sys.diag)
+                products = carried + pop.omegas[:, None] * a_delta
             else:
-                ux = upper_product(work, x) if product is None else product
-                new[:] = gauss_seidel_sr_step(sys, x, omega, ux=ux, work=work)
-                new_product[:] = upper_product(work, new)
-                r = ((1.0 - omega) / omega) * sys.diag * (x - new)
-                fitness.append(vector_norm(r + (new_product - ux)))
-    return Population(states, np.array(fitness), pop.omegas, products)
+                products = np.array([np.dot(sys.a, x) for x in states])
+            residuals = products - sys.b
+        else:
+            sweeps = [gauss_seidel_sr_step(sys, x, w, ux=ux, work=work) for x, w, ux in slots]
+            states = np.array(sweeps)
+            products = np.array([upper_product(work, x) for x in states])
+            scale = ((1.0 - pop.omegas) / pop.omegas)[:, None] * sys.diag
+            residuals = scale * (pop.states - states) + (products - carried)
+        fitness = np.array([vector_norm(r) for r in residuals])
+    return Population(states, fitness, pop.omegas, products)
 
 
 def select_and_reproduce(pop: Population) -> Population:
@@ -408,8 +408,8 @@ def select_and_reproduce(pop: Population) -> Population:
     if pop.size % 2 != 0:
         raise ValueError("population size must be even")
     keep = pop.fitness.argsort(kind="stable")[: pop.size // 2].repeat(2)
-    products = None if pop.products is None else pop.products[keep]
-    return Population(pop.states[keep], pop.fitness[keep], pop.omegas, products)
+    products = None if pop.products is None else pop.products.take(keep, 0)
+    return Population(pop.states.take(keep, 0), pop.fitness.take(keep), pop.omegas, products)
 
 
 def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:

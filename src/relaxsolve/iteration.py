@@ -2,7 +2,8 @@
 
 Both steps damp the classical update with a relaxation factor ``omega``:
 at ``omega = 1`` they reduce to textbook Jacobi / Gauss-Seidel, at
-``omega = 0`` to the identity. ``explicit_operator`` builds the dense
+``omega = 0`` to the identity. Jacobi is computed in residual-correction
+form, ``x + omega ((b - A x) / D)``. ``explicit_operator`` builds the dense
 affine operator ``x -> H x + v`` realized by each step; it exists as a
 small-n equivalence oracle and is not used on hot paths.
 
@@ -49,16 +50,14 @@ def jacobi_sr_step(
 ) -> np.ndarray:
     """One relaxed Jacobi (JOR) step, all components from the old iterate.
 
-    Computes ``x'_i = (1-w) x_i + (w / a_ii) (b_i - sum_{j != i} a_ij x_j)``
-    simultaneously for every component. ``ax`` is ``A x`` if the caller
-    already has it; otherwise the step computes it.
+    Realizes ``x'_i = (1-w) x_i + (w / a_ii) (b_i - sum_{j != i} a_ij x_j)``
+    for every component at once, computed as ``x + w ((b - A x) / D)``.
+    ``ax`` is ``A x`` if the caller already has it; else the step computes it.
     """
     x = check_state(sys, x)
-    d = sys.diag
     if ax is None:
         ax = sys.a @ x
-    off = ax - d * x
-    return (1.0 - omega) * x + omega * (sys.b - off) / d
+    return x + omega * ((sys.b - ax) / sys.diag)
 
 
 def gauss_seidel_work(sys: LinearSystem) -> np.ndarray:

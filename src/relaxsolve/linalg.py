@@ -95,9 +95,20 @@ class LinearSystem:
 
 
 def checked_real(name: str, value):
-    """``value``; a ValueError starting with ``name`` unless it is a real number, not a bool."""
+    """``value`` if a float-range real and no bool, else a ValueError starting with ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number within float range") from None
+    return value
+
+
+def checked_int(name: str, value):
+    """``value``; a ValueError starting with ``name`` unless it is an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .linalg import DIAG_FLOOR, LinearSystem, checked_real
+from .linalg import DIAG_FLOOR, LinearSystem, checked_int, checked_real
 
 __all__ = [
     "ConstRule",
@@ -189,9 +189,9 @@ class ProblemSpec:
                 f"id must be custom or one of {FAMILY_IDS[0]}..{FAMILY_IDS[-1]}, "
                 f"got unknown id {self.id!r}"
             )
-        if not isinstance(self.n, (int, np.integer)) or not 1 <= self.n < N_LIMIT:
+        if not 1 <= checked_int("n", self.n) < N_LIMIT:
             raise ValueError(f"n must be a positive integer below {N_LIMIT}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        if not 0 <= checked_int("seed", self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         for k, key in enumerate(_RULE_KEYS):
             rule = getattr(self, f"{key}_rule")

@@ -188,7 +188,7 @@ def test_bench_plan_validation():
     # threshold and max_generations apply to a plan.
     for bad in (
         {"repetitions": 0}, {"repetitions": 1.5}, {"repetitions": 2.0},
-        {"base_seed": -1}, {"base_seed": 1.5},
+        {"repetitions": True}, {"base_seed": -1}, {"base_seed": 1.5}, {"base_seed": True},
         {"threshold": 0.0}, {"threshold": math.inf},
         {"max_generations": -1}, {"max_generations": 2.5},
     ):

@@ -356,3 +356,15 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+def test_import_loads_no_network_modules():
+    # The package needs no network stack, which would slow every import:
+    # xml.sax.saxutils, for one, pulls in urllib.request, http.client and ssl.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, relaxsolve.cli; print('ssl' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

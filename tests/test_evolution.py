@@ -39,7 +39,8 @@ from relaxsolve.evolution import (
     OMEGA_MARGIN,
     adapt_pair_from_steps,
 )
-from relaxsolve.iteration import gauss_seidel_work
+from relaxsolve.iteration import gauss_seidel_work, upper_product
+from relaxsolve.linalg import vector_norm
 
 EPS = np.finfo(np.float64).eps
 
@@ -101,10 +102,10 @@ def test_solver_config_validation():
     for threshold in (0.0, -1e-7, math.inf, math.nan):
         with pytest.raises(ValueError, match="threshold"):
             SolverConfig(variant=Variant.JBTVA, threshold=threshold)
-    for cap in (-1, 2.5, 2.0, "3"):
+    for cap in (-1, 2.5, 2.0, "3", True, np.bool_(True)):
         with pytest.raises(ValueError, match="^max_generations"):
             SolverConfig(variant=Variant.JBTVA, max_generations=cap)
-    for seed in (-1, 2**64, 1.5, 1.0):
+    for seed in (-1, 2**64, 1.5, 1.0, False, True):
         with pytest.raises(ValueError, match="^seed"):
             SolverConfig(variant=Variant.JBTVA, seed=seed)
     # numpy integers are integers
@@ -113,9 +114,10 @@ def test_solver_config_validation():
     for omega in (math.inf, -math.inf, math.nan, 0.0, -1.0, 2.0, 2.5):
         with pytest.raises(ValueError, match="fixed_omega"):
             SolverConfig(variant=Variant.FIXED_GS_SR, fixed_omega=omega)
-    # A bool or a non-real is rejected at its field, not with a TypeError.
+    # A bool, a non-real or an int too large for a float is rejected at its
+    # field, not with a TypeError or OverflowError, nor accepted as < inf.
     for field in ("threshold", "fixed_omega"):
-        for value in ("1", None, True, np.bool_(True), 1j):
+        for value in ("1", None, True, np.bool_(True), 1j, 10**400, -(10**400)):
             with pytest.raises(ValueError, match=f"^{field} must be a real number"):
                 SolverConfig(variant=Variant.JBTVA, **{field: value})
     cfg = SolverConfig(variant=Variant.JBTVA, threshold=np.float32(1e-6), fixed_omega=1)
@@ -336,22 +338,37 @@ def test_recombine_rejects_bad_matrix():
 # ---------------------------------------------------------------- mutation
 
 def test_mutation_matches_single_sweep():
-    pop = _evaluated_population(SYS2, [[0.0, 0.0], [0.2, -0.4]], [1.0, 1.0])
-    out_j = mutate_and_evaluate(pop, SYS2, Variant.JBTVA)
-    out_g = mutate_and_evaluate(pop, SYS2, Variant.MGSBTVA)
-    for i in range(2):
-        assert np.array_equal(
-            out_j.states[i], jacobi_sr_step(SYS2, pop.states[i], 1.0)
-        )
-        assert np.array_equal(
-            out_g.states[i], gauss_seidel_sr_step(SYS2, pop.states[i], 1.0)
-        )
-        assert out_j.fitness[i] == residual_norm(SYS2, out_j.states[i])
-        x, x_new = pop.states[i], out_g.states[i]
-        ux = np.triu(SYS2.a, 1) @ x
-        assert abs(out_g.fitness[i] - residual_norm(SYS2, x_new)) <= (
-            _derived_fitness_bound(SYS2, x, x_new, 1.0, ux)
-        )
+    # Eight slots at n = 30: a product taken in another order in the derived
+    # Gauss-Seidel fitness changes at least one slot's norm here, though a
+    # single slot's norm often rounds alike.
+    sys30 = generate_problem(family_spec("P1", 30, seed=4))
+    states30 = np.random.default_rng(8).uniform(-30.0, 30.0, size=(8, 30))
+    for sys_, states, omegas in (
+        (SYS2, [[0.0, 0.0], [0.2, -0.4]], [1.0, 1.0]),
+        (sys30, states30, np.linspace(0.2, 1.8, 8).tolist()),
+    ):
+        pop = _evaluated_population(sys_, states, omegas)
+        out_j = mutate_and_evaluate(pop, sys_, Variant.JBTVA)
+        out_g = mutate_and_evaluate(pop, sys_, Variant.MGSBTVA)
+        work = gauss_seidel_work(sys_)
+        for i, omega in enumerate(omegas):
+            assert np.array_equal(
+                out_j.states[i], jacobi_sr_step(sys_, pop.states[i], omega)
+            )
+            assert np.array_equal(
+                out_g.states[i], gauss_seidel_sr_step(sys_, pop.states[i], omega)
+            )
+            assert out_j.fitness[i] == residual_norm(sys_, out_j.states[i])
+            x, x_new = pop.states[i], out_g.states[i]
+            ux = np.triu(sys_.a, 1) @ x
+            assert abs(out_g.fitness[i] - residual_norm(sys_, x_new)) <= (
+                _derived_fitness_bound(sys_, x, x_new, omega, ux)
+            )
+            # The slot-wide derived fitness is bit for bit the per-slot formula.
+            derived = ((1.0 - omega) / omega) * sys_.diag * (x - x_new) + (
+                upper_product(work, x_new) - upper_product(work, x)
+            )
+            assert out_g.fitness[i] == vector_norm(derived)
 
 
 @pytest.mark.parametrize("pid", FAMILY_IDS)

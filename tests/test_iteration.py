@@ -48,12 +48,15 @@ def test_jacobi_step_relaxed_hand_value():
     assert np.allclose(got, [0.375, 0.375], atol=1e-15)
 
 
-def test_jacobi_omega_one_equals_textbook_update():
+@pytest.mark.parametrize("omega", [0.3, 1.0, 1.7])
+def test_jacobi_step_equals_textbook_update(omega):
+    # The step is computed as x + w (b - A x) / D; the textbook relaxed
+    # update is (1 - w) x + w (b - (A - D) x) / D.
     sys_, rng = _random_system(8, seed=21)
     x = rng.normal(size=8)
     d = sys_.diag
-    textbook = (sys_.b - (sys_.a - np.diag(d)) @ x) / d
-    assert np.allclose(jacobi_sr_step(sys_, x, 1.0), textbook, atol=1e-13)
+    textbook = (1.0 - omega) * x + omega * (sys_.b - (sys_.a - np.diag(d)) @ x) / d
+    assert np.allclose(jacobi_sr_step(sys_, x, omega), textbook, atol=1e-13)
 
 
 def test_gs_step_forward_sweep_hand_value():

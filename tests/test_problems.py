@@ -362,10 +362,10 @@ def test_problem_spec_validation():
         family_spec("P1", 2**30, 0)
     with pytest.raises(ValueError):
         family_spec("P1", 5, -3)
-    for n in (2.5, 2.0, "4"):
+    for n in (2.5, 2.0, "4", True, np.bool_(True)):
         with pytest.raises(ValueError, match="^n "):
             ProblemSpec("P1", n, 0)
-    for seed in (1.5, 0.0):
+    for seed in (1.5, 0.0, True, False):
         with pytest.raises(ValueError, match="^seed "):
             ProblemSpec("P1", 4, seed)
     assert ProblemSpec("P1", np.int64(4), np.uint64(3)) == family_spec("P1", 4, 3)
@@ -373,7 +373,8 @@ def test_problem_spec_validation():
         UniformRule(2.0, 2.0)
     # Rule values must be real numbers, and a bool is none: UniformRule(True, 2.0)
     # would render as uniform:True,2.0, which no parser reads back.
-    for bad in ("1", None, True, np.bool_(False), 1j):
+    # An int too large for a float is no float-valued rule either.
+    for bad in ("1", None, True, np.bool_(False), 1j, 10**400):
         with pytest.raises(ValueError, match="^value must be a real number"):
             ConstRule(bad)
         with pytest.raises(ValueError, match="^lo must be a real number"):
