@@ -10,9 +10,9 @@ that decays over generations, and truncation selection with duplication.
 The four adaptive variants evolve two slots and differ only in the
 mutation sweep (Jacobi vs Gauss-Seidel) and in whether the recombination
 stage runs at all. The ``FIXED_*`` baselines run through the same loop
-as a one-slot population that starts at the zero vector: with one slot
-there is no pair to adapt, and selection is skipped, so the relaxation
-factor stays constant.
+as a one-slot population that starts at the zero vector, with exact zero
+products and residual ``||b||``: one slot has no pair to adapt and skips
+selection, so the relaxation factor stays constant.
 
 Each slot carries the matrix product its next sweep needs: ``A x`` for a
 Jacobi slot, ``U x`` for a Gauss-Seidel slot (U the strict upper
@@ -160,7 +160,7 @@ class Population(NamedTuple):
     selection copies states around but never moves omegas. Row i of
     ``products`` is the product slot i's next sweep reuses, ``A x_i``
     (Jacobi) or ``U x_i`` (Gauss-Seidel); it is None until a sweep has
-    computed it.
+    computed it, except at a fixed start, where it is exactly 0.
     """
 
     states: np.ndarray
@@ -223,19 +223,19 @@ def init_population(
 
     Adaptive variants get two states drawn uniformly from
     ``[INIT_LO, INIT_HI)``, with midpoint omegas. Fixed variants get
-    one slot at the zero vector with omega ``cfg.fixed_omega`` and draw
-    nothing. A residual that overflows is kept as inf or nan, for the
-    run loop's divergence check.
+    one slot at the zero vector with omega ``cfg.fixed_omega``, draw
+    nothing and take no product: ``A 0`` and ``U 0`` are exactly 0, the
+    residual ``||b||``. An overflowed residual is kept as inf or nan.
     """
     if cfg.variant.is_fixed:
-        states = np.zeros((1, sys.n))
         omegas = np.array([cfg.fixed_omega], dtype=np.float64)
-    else:
-        states = rng.uniform(INIT_LO, INIT_HI, size=(2, sys.n))
-        omegas = init_relaxation_factors(2)
+        with np.errstate(over="ignore"):
+            fitness = np.array([vector_norm(sys.b)])
+        return Population(np.zeros((1, sys.n)), fitness, omegas, np.zeros((1, sys.n)))
+    states = rng.uniform(INIT_LO, INIT_HI, size=(2, sys.n))
     with np.errstate(over="ignore", invalid="ignore"):
         fitness = np.array([residual_norm(sys, s) for s in states])
-    return Population(states=states, fitness=fitness, omegas=omegas)
+    return Population(states, fitness, init_relaxation_factors(2))
 
 
 def basic_time_variant(t: int, lam: float) -> float:
@@ -364,34 +364,37 @@ def mutate_and_evaluate(
     its fitness as ``||((1-w)/w) D (x - x') + (U x' - U x)||`` (w in (0, 2)).
     ``work`` is the run's ``gauss_seidel_work`` copy of A; a Gauss-Seidel
     call without one makes its own. Norms are ``linalg.vector_norm``,
-    bit for bit ``np.linalg.norm``. Non-finite states are propagated
-    as-is; the run loop's divergence check deals with them.
+    bit for bit ``np.linalg.norm``. Non-finite states propagate as-is,
+    without warnings; the run loop's divergence check deals with them.
     """
-    jacobi = variant.method == "jacobi"
+    return _sweep_and_evaluate(pop, sys, variant.method == "jacobi", work, shared)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sweep_and_evaluate(pop, sys, jacobi, work, shared):
+    # Cheaper as a decorator than a with block; never on a traced name (it sets __wrapped__).
     if shared and (not jacobi or pop.products is None):
         raise ValueError("shared needs a Jacobi population with carried products")
-    if not jacobi and work is None:
-        work = gauss_seidel_work(sys)
     carried = [None] * pop.size if pop.products is None else pop.products
-    if not jacobi and pop.products is None:
-        carried = np.array([upper_product(work, x) for x in pop.states])
     slots = zip(pop.states, pop.omegas.tolist(), carried)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if jacobi:
-            states = np.array([jacobi_sr_step(sys, x, w, ax=ax) for x, w, ax in slots])
-            if shared:
-                a_delta = np.dot(sys.a, (sys.b - carried[0]) / sys.diag)
-                products = carried + pop.omegas[:, None] * a_delta
-            else:
-                products = np.array([np.dot(sys.a, x) for x in states])
-            residuals = products - sys.b
+    if jacobi:
+        states = np.array([jacobi_sr_step(sys, x, w, ax=ax) for x, w, ax in slots])
+        if shared:
+            a_delta = np.dot(sys.a, (sys.b - carried[0]) / sys.diag)
+            products = carried + pop.omegas[:, None] * a_delta
         else:
-            sweeps = [gauss_seidel_sr_step(sys, x, w, ux=ux, work=work) for x, w, ux in slots]
-            states = np.array(sweeps)
-            products = np.array([upper_product(work, x) for x in states])
-            scale = ((1.0 - pop.omegas) / pop.omegas)[:, None] * sys.diag
-            residuals = scale * (pop.states - states) + (products - carried)
-        fitness = np.array([vector_norm(r) for r in residuals])
+            products = np.array([np.dot(sys.a, x) for x in states])
+        fitness = np.array([vector_norm(r) for r in products - sys.b])
+        return Population(states, fitness, pop.omegas, products)
+    work = gauss_seidel_work(sys) if work is None else work
+    rows = []
+    for x, w, ux in slots:
+        ux = upper_product(work, x) if ux is None else ux
+        x_new = gauss_seidel_sr_step(sys, x, w, ux=ux, work=work)
+        ux_new = upper_product(work, x_new)
+        r = ((1.0 - w) / w) * sys.diag * (x - x_new) + (ux_new - ux)
+        rows.append((x_new, vector_norm(r), ux_new))
+    states, fitness, products = map(np.array, zip(*rows))
     return Population(states, fitness, pop.omegas, products)
 
 
@@ -423,7 +426,7 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     which then decides. All randomness comes from one PCG64
     generator seeded with ``cfg.seed``; the draw order is: initial
     states, then per generation a stochastic matrix (recombining variants
-    only) followed by two Gaussians per adapted pair. Fixed variants draw
+    only) followed by two Gaussians for the adapted pair. Fixed variants draw
     nothing. Identical configurations produce identical traces.
     """
     if not isinstance(cfg, SolverConfig):
@@ -445,12 +448,8 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
                 pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
             pop = mutate_and_evaluate(pop, sys, variant, work, shared=shared)
             if adaptive:  # one slot has no pair to adapt, nothing to select
-                omegas, fitness = pop.omegas.tolist(), pop.fitness.tolist()
-                for p in range(0, len(omegas) - 1, 2):
-                    omegas[p], omegas[p + 1] = adapt_pair(
-                        omegas[p], omegas[p + 1], fitness[p], fitness[p + 1], t - 1, rng
-                    )
-                pop = Population(pop.states, pop.fitness, np.array(omegas), pop.products)
+                w, err = pop.omegas.tolist(), pop.fitness.tolist()
+                pop.omegas[:] = adapt_pair(w[0], w[1], err[0], err[1], t - 1, rng)
                 pop = select_and_reproduce(pop)
         # After selection slot 0 is best (a fixed run has only slot 0). A derived
         # fitness that would end the run, or a shared one far down, yields to a direct one.

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -616,12 +617,31 @@ def test_fixed_variants_solve_dominant_system(variant):
     assert res.final_omegas == [1.0]
 
 
-def test_fixed_variant_starts_from_zero_vector():
-    sys_ = _dominant_system(6, seed=8)
-    cfg = SolverConfig(variant=Variant.FIXED_GS_SR, seed=0, max_generations=0)
-    res = run_solver(sys_, cfg)
-    assert res.final_residual == pytest.approx(float(np.linalg.norm(sys_.b)), rel=1e-15)
-    assert np.array_equal(res.best_state, np.zeros(6))
+def test_fixed_variant_starts_from_zero_vector(monkeypatch):
+    # The zero start is exact: A 0 and U 0 are 0 and A 0 - b is -b, so the
+    # start reads no matrix. Its ||b|| may overflow, without a warning.
+    huge_b = LinearSystem(np.eye(3), np.full(3, 1e200))
+    fixed = [Variant.FIXED_JACOBI_SR, Variant.FIXED_GS_SR]
+    for variant, sys_ in itertools.product(fixed, [_dominant_system(6, seed=8), huge_b]):
+        zeros = np.zeros(sys_.n)
+        with np.errstate(over="ignore"):
+            direct = residual_norm(sys_, zeros)
+        calls = []
+        monkeypatch.setattr(evolution, "residual_norm", lambda *a: calls.append(a))
+        pop = init_population(sys_, SolverConfig(variant=variant), np.random.default_rng(0))
+        monkeypatch.undo()
+        assert calls == []
+        assert pop.products.tolist() == [zeros.tolist()]
+        assert pop.fitness.tolist() == [direct]
+        res = run_solver(sys_, SolverConfig(variant=variant, max_generations=0))
+        assert res.trace == [(0, direct)] and np.array_equal(res.best_state, zeros)
+
+
+@pytest.mark.parametrize("variant", Variant)
+def test_mutation_of_overflowing_states_is_warning_free(variant):
+    states = np.array([[1e300, -1e300], [1e308, 1e308]])
+    out = mutate_and_evaluate(Population(states, None, np.array([0.5, 1.5])), SYS2, variant)
+    assert not np.isfinite(out.fitness).all()
 
 
 # Off-diagonal dominant: every relaxed sweep at omega = 0.9 diverges on it.
