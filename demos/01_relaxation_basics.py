@@ -12,7 +12,6 @@ from relaxsolve import (
     LinearSystem,
     SolverConfig,
     Variant,
-    direct_solve,
     explicit_operator,
     gauss_seidel_sr_step,
     jacobi_sr_step,
@@ -51,7 +50,7 @@ def spectral_radius(system, omega, method):
 
 def main():
     system = build_system()
-    truth = direct_solve(system)
+    truth = np.linalg.solve(system.a, system.b)
     print(f"system: n={system.n}, direct-solve residual "
           f"{residual_norm(system, truth):.3e}")
     print()

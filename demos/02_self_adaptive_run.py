@@ -13,7 +13,6 @@ import numpy as np
 from relaxsolve import (
     SolverConfig,
     Variant,
-    direct_solve,
     emit_trace_svg,
     family_spec,
     generate_problem,
@@ -28,7 +27,7 @@ OUT_DIR = "demo_traces"
 def main():
     spec = family_spec("P1", 200, seed=0)
     system = generate_problem(spec)
-    truth = direct_solve(system)
+    truth = np.linalg.solve(system.a, system.b)
     start = init_relaxation_factors(2)
     print(f"problem P1, n={system.n}; population of 2, factors start at "
           f"{np.round(start, 3).tolist()}")

@@ -38,8 +38,6 @@ from .iteration import (
 )
 from .linalg import (
     LinearSystem,
-    SingularMatrixError,
-    direct_solve,
     residual_norm,
 )
 from .problems import (
@@ -68,7 +66,6 @@ __all__ = [
     "Population",
     "ProblemSpec",
     "RunResult",
-    "SingularMatrixError",
     "SolverConfig",
     "SpecParseError",
     "Summary",
@@ -76,7 +73,6 @@ __all__ = [
     "Variant",
     "adapt_pair",
     "basic_time_variant",
-    "direct_solve",
     "emit_trace_svg",
     "explicit_operator",
     "family_spec",

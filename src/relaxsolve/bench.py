@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .evolution import RunResult, SolverConfig, Variant, run_solver
+from .evolution import DIVERGENCE_BOUND, RunResult, SolverConfig, Variant, run_solver
 from .linalg import LinearSystem, checked_int
 from .problems import (
     SPEC_KEYS,
@@ -232,34 +232,40 @@ def read_csv(source) -> list[BenchRow]:
 
 @dataclass(frozen=True)
 class Summary:
-    """Per-(problem, variant) aggregate of benchmark rows."""
+    """Per-(problem, variant) aggregate of benchmark rows.
+
+    Runs count as ``converged``, ``diverged`` (``run_solver``'s rule: the
+    final residual is above ``DIVERGENCE_BOUND`` or not finite) or
+    ``capped``. The generation median and range and the median
+    ``elapsed_ms`` cover converged runs only; None when there are none.
+    """
 
     problem_id: str
     variant: str
     runs: int
-    converged_runs: int
-    mean_generations: float
-    mean_elapsed_ms: float
+    converged: int
+    capped: int
+    diverged: int
+    median_generations: float | None
+    generations_range: tuple[int, int] | None
+    median_elapsed_ms: float | None
 
 
 def summarize(rows: Sequence[BenchRow]) -> list[Summary]:
-    """Arithmetic means per (problem, variant), in first-seen order."""
+    """One ``Summary`` per (problem, variant), in first-seen order."""
     groups: dict[tuple[str, str], list[BenchRow]] = {}
     for row in rows:
         groups.setdefault((row.problem_id, row.variant), []).append(row)
     out = []
     for (pid, variant), grp in groups.items():
-        k = len(grp)
-        out.append(
-            Summary(
-                problem_id=pid,
-                variant=variant,
-                runs=k,
-                converged_runs=sum(1 for r in grp if r.converged),
-                mean_generations=sum(r.generations for r in grp) / k,
-                mean_elapsed_ms=sum(r.elapsed_ms for r in grp) / k,
-            )
-        )
+        done = [r for r in grp if r.converged]
+        diverged = sum(not (r.converged or r.final_residual <= DIVERGENCE_BOUND) for r in grp)
+        gens, ms = sorted(r.generations for r in done), sorted(r.elapsed_ms for r in done)
+        mid = (len(done) - 1) // 2, len(done) // 2  # one middle entry, or two to average
+        medians = ((gens[mid[0]] + gens[mid[1]]) / 2, (gens[0], gens[-1]),
+                   (ms[mid[0]] + ms[mid[1]]) / 2) if done else (None,) * 3
+        out.append(Summary(pid, variant, len(grp), len(done),
+                           len(grp) - len(done) - diverged, diverged, *medians))
     return out
 
 
@@ -378,7 +384,7 @@ def emit_trace_svg(
 _PLAN_VALUES = (("repetitions", int), ("base_seed", int),
                 ("threshold", float), ("max_generations", int))
 _PLAN_KEYS = ("problems", "variants") + tuple(key for key, _ in _PLAN_VALUES)
-_DEFAULT_VARIANTS = ("JBTVA", "GSBTVA", "MJBTVA", "MGSBTVA")
+_DEFAULT_VARIANTS = tuple(v for v in Variant if not v.is_fixed)
 
 
 def _name_list(fields, lines, key: str, what: str, allowed=None) -> list[str]:

@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run a benchmark plan and write a CSV",
         description="Execute every (problem, variant, repetition) run of a "
-        "plan file, print per-group means, and write one CSV row per run. "
+        "plan file, print per-group outcome counts and medians, and write one CSV row per run. "
         "Exits 1 if any run failed to converge.",
     )
     bench.add_argument("--plan", required=True, help="path to the plan file")
@@ -236,12 +236,13 @@ def _cmd_bench(args) -> int:
             _write(path, lambda fh: emit_trace_svg(by_variant, fh, title=pid), where)
 
     for s in summarize(rows):
-        print(
-            f"{s.problem_id} {s.variant}: runs={s.runs} "
-            f"converged={s.converged_runs} "
-            f"mean_generations={s.mean_generations:.1f} "
-            f"mean_elapsed_ms={s.mean_elapsed_ms:.3f}"
-        )
+        line = (f"{s.problem_id} {s.variant}: runs={s.runs} converged={s.converged} "
+                f"capped={s.capped} diverged={s.diverged}")
+        if s.converged:  # the medians and range cover converged runs only
+            lo, hi = s.generations_range
+            line += (f" median_generations={s.median_generations:.1f} generations={lo}..{hi}"
+                     f" median_elapsed_ms={s.median_elapsed_ms:.3f}")
+        print(line)
     return 0 if all(row.converged for row in rows) else 1
 
 

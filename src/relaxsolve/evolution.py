@@ -145,7 +145,7 @@ class SolverConfig:
         # Neither relaxed sweep converges for a factor outside (0, 2): SOR
         # by Kahan's bound, JOR because the eigenvalues of its iteration
         # matrix I - w D^-1 A average 1 - w.
-        if not 0.0 < checked_real("fixed_omega", self.fixed_omega) < 2.0:
+        if not OMEGA_LO < checked_real("fixed_omega", self.fixed_omega) < OMEGA_HI:
             raise ValueError(
                 f"fixed_omega must lie in the open interval (0, 2), got {self.fixed_omega!r}"
             )
@@ -266,18 +266,21 @@ def adapt_pair_from_steps(
     The winner is pushed away from the loser: its factor moves by
     ``p_push`` times the distance to the boundary on its side of the
     loser (the upper boundary when its factor is >= the loser's, else the
-    lower). Equal errors leave both factors untouched. Results are
-    clamped ``OMEGA_MARGIN`` inside the open interval.
+    lower). Errors rank as in selection: a NaN error loses to every
+    number, inf included. Equal errors, and two NaN errors, leave both
+    factors untouched. Results are clamped ``OMEGA_MARGIN`` inside the open
+    interval.
 
     ``p_pull`` is signed; ``p_push`` is expected nonnegative. Tests
     inject the steps directly; ``adapt_pair`` derives them from Gaussian
     noise and the time-variant decay.
     """
-    if err_x == err_y:
+    if err_x == err_y or math.isnan(err_x) and math.isnan(err_y):
         return omega_x, omega_y
     lo = OMEGA_LO + OMEGA_MARGIN
     hi = OMEGA_HI - OMEGA_MARGIN
-    if err_x > err_y:
+    x_loses = err_x > err_y or math.isnan(err_x)
+    if x_loses:
         loser, winner = omega_x, omega_y
     else:
         loser, winner = omega_y, omega_x
@@ -288,7 +291,7 @@ def adapt_pair_from_steps(
         new_winner = winner + p_push * (OMEGA_LO - winner)
     new_loser = min(max(new_loser, lo), hi)
     new_winner = min(max(new_winner, lo), hi)
-    if err_x > err_y:
+    if x_loses:
         return new_loser, new_winner
     return new_winner, new_loser
 

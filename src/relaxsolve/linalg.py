@@ -1,4 +1,4 @@
-"""Dense matrix/vector arithmetic, residual evaluation, and a direct solver.
+"""Dense matrix/vector arithmetic and residual evaluation.
 
 Everything works on plain float64 numpy arrays: vectors are 1-D arrays,
 matrices 2-D square arrays. ``LinearSystem`` bundles a coefficient matrix
@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 __all__ = [
     "DIAG_FLOOR",
     "LinearSystem",
-    "SingularMatrixError",
-    "direct_solve",
     "residual_norm",
     "vector_norm",
 ]
@@ -29,10 +25,6 @@ __all__ = [
 # Smallest admissible |a_ii|; systems below this are rejected instead of
 # row-permuted.
 DIAG_FLOOR = 1e-12
-
-
-class SingularMatrixError(ValueError):
-    """Raised when elimination meets a pivot that is numerically zero."""
 
 
 @dataclass(frozen=True)
@@ -141,25 +133,3 @@ def residual_norm(sys: LinearSystem, x: np.ndarray) -> float:
     x = check_state(sys, x)
     return vector_norm(sys.a @ x - sys.b)
 
-
-def direct_solve(sys: LinearSystem) -> np.ndarray:
-    """Solve the system by LU factorization with partial pivoting.
-
-    Used as the accuracy oracle for the iterative solvers; for
-    well-conditioned inputs the relative residual is at the 1e-10 level
-    or better.
-
-    Raises
-    ------
-    SingularMatrixError
-        If a pivot is at most ``n eps max(1, max|a_ij|)`` in magnitude.
-    """
-    tiny = sys.n * np.finfo(np.float64).eps * max(1.0, float(np.max(np.abs(sys.a))))
-    with warnings.catch_warnings():
-        # An exactly zero pivot warns; it is reported below as an error.
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(sys.a, check_finite=False)
-    small = np.flatnonzero(np.abs(np.diagonal(lu)) <= tiny)
-    if small.size:
-        raise SingularMatrixError(f"matrix is numerically singular at column {small[0]}")
-    return lu_solve((lu, piv), sys.b, check_finite=False)

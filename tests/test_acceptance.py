@@ -17,7 +17,6 @@ from relaxsolve import (
     LinearSystem,
     SolverConfig,
     Variant,
-    direct_solve,
     explicit_operator,
     family_spec,
     gauss_seidel_sr_step,
@@ -100,7 +99,7 @@ def test_criterion_1_classical_correctness():
         np.fill_diagonal(a, 50.0)
         b = rng.uniform(-5.0, 5.0, size=50)
         sys_ = LinearSystem(a, b)
-        x_star = direct_solve(sys_)
+        x_star = np.linalg.solve(sys_.a, sys_.b)
         ok_seed = True
         for variant in (Variant.FIXED_JACOBI_SR, Variant.FIXED_GS_SR):
             res = run_solver(
@@ -270,7 +269,7 @@ def test_criterion_8_invariant_suite():
     checks["selection-dominance"] = dominance
 
     # recombination keeps a shared exact solution exact
-    x_star = direct_solve(sys_)
+    x_star = np.linalg.solve(sys_.a, sys_.b)
     pop = Population(
         states=np.tile(x_star, (4, 1)),
         fitness=np.full(4, residual_norm(sys_, x_star)),

@@ -272,20 +272,33 @@ def test_read_csv_rejects_malformed_input():
     ]
 
 
-def test_summarize_exact_means():
+def test_summarize_counts_endings_and_medians_over_converged_runs():
     rows = [
         BenchRow("P1", "JBTVA", 1, 10, 100.0, 1e-8, True, 1),
-        BenchRow("P1", "JBTVA", 2, 20, 300.0, 3e-8, True, 2),
-        BenchRow("P1", "MJBTVA", 3, 40, 50.0, 5e-8, False, 1),
+        BenchRow("P1", "JBTVA", 2, 30, 300.0, 3e-8, True, 2),
+        BenchRow("P1", "JBTVA", 3, 20, 200.0, 2e-8, True, 3),
+        BenchRow("P1", "JBTVA", 4, 10000, 9e5, 1e-3, False, 4),
+        BenchRow("P1", "JBTVA", 5, 7, 5.0, 1e13, False, 5),
+        BenchRow("P1", "MJBTVA", 6, 40, 50.0, 5e-8, False, 1),
+        BenchRow("P1", "MJBTVA", 7, 3, 4.0, math.nan, False, 2),
+        BenchRow("P1", "MJBTVA", 8, 3, 4.0, 1e12, False, 3),
+        BenchRow("P2", "JBTVA", 9, 10, 1.0, 1e-8, True, 1),
+        BenchRow("P2", "JBTVA", 10, 15, 2.0, 1e-8, True, 2),
     ]
     stats = {(s.problem_id, s.variant): s for s in summarize(rows)}
+    assert list(stats) == [("P1", "JBTVA"), ("P1", "MJBTVA"), ("P2", "JBTVA")]
     jb = stats[("P1", "JBTVA")]
-    assert jb.runs == 2 and jb.converged_runs == 2
-    assert jb.mean_generations == (10 + 20) / 2
-    assert jb.mean_elapsed_ms == (100.0 + 300.0) / 2
+    assert (jb.runs, jb.converged, jb.capped, jb.diverged) == (5, 3, 1, 1)
+    # the capped and diverged rows stay out of the medians and the range
+    assert jb.median_generations == 20.0 and jb.generations_range == (10, 30)
+    assert jb.median_elapsed_ms == 200.0
     mj = stats[("P1", "MJBTVA")]
-    assert mj.runs == 1 and mj.converged_runs == 0
-    assert mj.mean_generations == 40.0
+    # a residual at the bound is capped, a NaN one diverged, as in run_solver
+    assert (mj.runs, mj.converged, mj.capped, mj.diverged) == (3, 0, 2, 1)
+    assert mj.median_generations is mj.generations_range is mj.median_elapsed_ms is None
+    p2 = stats[("P2", "JBTVA")]
+    assert p2.median_generations == 12.5 and p2.median_elapsed_ms == 1.5
+    assert p2.generations_range == (10, 15)
 
 
 # --------------------------------------------------------------------- SVG

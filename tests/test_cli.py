@@ -271,7 +271,21 @@ def test_bench_end_to_end(tmp_path, capsys):
     assert svg_files == ["custom.svg"]
     ET.fromstring((traces / "custom.svg").read_text())
     assert "custom JBTVA:" in stdout and "custom MJBTVA:" in stdout
-    assert "mean_generations=" in stdout
+    for line in stdout.splitlines():
+        assert re.fullmatch(
+            r"custom M?JBTVA: runs=2 converged=2 capped=0 diverged=0 median_generations=\d+\.\d "
+            r"generations=\d+\.\.\d+ median_elapsed_ms=[0-9.]+", line
+        ), line
+
+
+def test_bench_summary_of_capped_runs_has_no_median(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(SMALL_PLAN + "max_generations=1\n")
+    assert main(["bench", "--plan", str(plan), "--out", str(tmp_path / "rows.csv")]) == 1
+    assert capsys.readouterr().out == (
+        "custom JBTVA: runs=2 converged=0 capped=2 diverged=0\n"
+        "custom MJBTVA: runs=2 converged=0 capped=2 diverged=0\n"
+    )
 
 
 def test_bench_bad_plan_exits_2_without_csv(tmp_path, capsys):

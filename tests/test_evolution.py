@@ -15,7 +15,6 @@ from relaxsolve import (
     Variant,
     adapt_pair,
     basic_time_variant,
-    direct_solve,
     family_spec,
     gauss_seidel_sr_step,
     generate_problem,
@@ -238,6 +237,35 @@ def test_adapt_loser_winner_roles_follow_errors():
     got = adapt_pair_from_steps(1.5, 0.5, 1.0, 9.0, 0.0, 0.1)
     assert got[1] == 1.0  # loser y pulled to midpoint
     assert got[0] == pytest.approx(1.55, abs=1e-15)  # winner x pushed up
+
+
+def test_adapt_ranks_nan_error_last():
+    # As in selection: NaN loses to every number, inf included.
+    def adapt(err_x, err_y):
+        return adapt_pair_from_steps(0.5, 1.5, err_x, err_y, 0.1, 0.2)
+
+    nan, inf = math.nan, math.inf
+    assert adapt(nan, 1.0) == adapt(inf, 1.0) == adapt(9.0, 1.0)
+    assert adapt(nan, inf) == adapt(9.0, 1.0)
+    assert adapt(1.0, nan) == adapt(inf, nan) == adapt(1.0, 9.0)
+    assert adapt(nan, nan) == (0.5, 1.5)
+
+
+_ERRORS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, 0.0]))
+
+
+@settings(deadline=None, database=None)
+@given(err_x=_ERRORS, err_y=_ERRORS)
+def test_adapt_winner_is_the_slot_selection_keeps(err_x, err_y):
+    # Without noise the loser moves to the midpoint 1.0 and the winner stays.
+    got = adapt_pair_from_steps(0.5, 1.5, err_x, err_y, 0.0, 0.0)
+    pop = Population(np.array([[0.0], [1.0]]), np.array([err_x, err_y]), np.array([0.5, 1.5]))
+    kept = int(select_and_reproduce(pop).states[0, 0])
+    assert kept == pop.best_index()
+    if got == (0.5, 1.5):  # a tie: selection keeps the lower slot
+        assert kept == 0
+    else:
+        assert got[kept] == (0.5, 1.5)[kept] and got[1 - kept] == 1.0
 
 
 def test_adapt_clamps_into_margin():
@@ -595,7 +623,7 @@ def test_generation_cap_zero_reports_unconverged():
 @pytest.mark.parametrize("variant", ADAPTIVE)
 def test_adaptive_variants_solve_dominant_system(variant):
     sys_ = _dominant_system(10, seed=42)
-    x_star = direct_solve(sys_)
+    x_star = np.linalg.solve(sys_.a, sys_.b)
     res = run_solver(sys_, SolverConfig(variant=variant, seed=5))
     assert res.converged
     assert res.final_residual < 1e-7
@@ -608,7 +636,7 @@ def test_adaptive_variants_solve_dominant_system(variant):
 )
 def test_fixed_variants_solve_dominant_system(variant):
     sys_ = _dominant_system(10, seed=42)
-    x_star = direct_solve(sys_)
+    x_star = np.linalg.solve(sys_.a, sys_.b)
     res = run_solver(sys_, SolverConfig(variant=variant, seed=0, fixed_omega=1.0))
     assert res.converged and res.final_residual < 1e-7
     assert res.final_residual == residual_norm(sys_, res.best_state)

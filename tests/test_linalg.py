@@ -6,8 +6,6 @@ from hypothesis.extra.numpy import arrays
 from relaxsolve import (
     FAMILY_IDS,
     LinearSystem,
-    SingularMatrixError,
-    direct_solve,
     family_spec,
     generate_problem,
     residual_norm,
@@ -145,40 +143,3 @@ def test_vector_norm_equals_numpy_norm_on_long_vectors():
     for n in range(0, 600, 7):
         v = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
         assert vector_norm(v) == np.linalg.norm(v)
-
-
-def test_direct_solve_hand_value():
-    # 2x + y = 3, x + 3y = 4  ->  x = y = 1
-    sys_ = LinearSystem(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([3.0, 4.0]))
-    assert np.allclose(direct_solve(sys_), [1.0, 1.0], rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("n", [5, 20, 50])
-def test_direct_solve_matches_numpy_oracle(n):
-    for seed in range(20):
-        sys_ = _random_dominant(n, seed=1000 * n + seed)
-        got = direct_solve(sys_)
-        want = np.linalg.solve(sys_.a, sys_.b)
-        assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
-
-
-def test_direct_solve_needs_pivoting():
-    # Tiny (but legal) leading diagonal: elimination without row swaps
-    # would amplify rounding by ~1e10.
-    a = np.array([[1e-10, 1.0], [1.0, 1.0]])
-    b = np.array([2.0, 3.0])
-    sys_ = LinearSystem(a, b)
-    want = np.linalg.solve(a, b)
-    assert np.linalg.norm(direct_solve(sys_) - want) <= 1e-8
-
-
-def test_direct_solve_singular_raises():
-    sys_ = LinearSystem(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
-    with pytest.raises(SingularMatrixError):
-        direct_solve(sys_)
-
-
-def test_direct_solution_has_small_residual():
-    sys_ = _random_dominant(40, seed=7)
-    x = direct_solve(sys_)
-    assert residual_norm(sys_, x) <= 1e-9 * np.linalg.norm(sys_.b)
