@@ -23,6 +23,7 @@ import numpy as np
 from .evolution import DIVERGENCE_BOUND, RunResult, SolverConfig, Variant, run_solver
 from .linalg import LinearSystem, checked_int
 from .problems import (
+    DEFAULT_N,
     SPEC_KEYS,
     ProblemSpec,
     SpecParseError,
@@ -50,6 +51,13 @@ __all__ = [
 ]
 
 CSV_HEADER = "problem,variant,seed,generations,elapsed_ms,final_residual,converged,problem_hash"
+
+# What repr writes for a float: digits with a fraction, an exponent or
+# both, inf, -inf or nan.
+_REAL = r"-?([0-9]+\.[0-9]+(e[+-][0-9]+)?|[0-9]+e[+-][0-9]+|inf)|nan"
+# (index, form) of every CSV column but the problem and variant names.
+_CSV_FORMS = ((2, "[0-9]+"), (3, "[0-9]+"), (4, _REAL), (5, _REAL),
+              (6, "true|false"), (7, "[0-9a-f]{16}"))
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -92,15 +100,15 @@ class BenchPlan:
     """What to run: problems x variants x repetitions.
 
     Every run shares the plan's residual ``threshold`` and generation cap
-    ``max_generations``; ``SolverConfig`` checks their bounds.
+    ``max_generations``; ``SolverConfig`` sets their defaults and bounds.
     """
 
     problems: tuple[ProblemSpec, ...]
     variants: tuple[Variant, ...]
     repetitions: int = 10
     base_seed: int = 0
-    threshold: float = 1e-7
-    max_generations: int = 10000
+    threshold: float = SolverConfig.threshold
+    max_generations: int = SolverConfig.max_generations
 
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
@@ -219,7 +227,7 @@ def read_csv(source) -> list[BenchRow]:
             continue
         if len(rec) != 8:
             raise ValueError(f"line {lineno}: expected 8 fields, got {len(rec)}")
-        for k, form in ((2, "[0-9]+"), (3, "[0-9]+"), (6, "true|false"), (7, "[0-9a-f]{16}")):
+        for k, form in _CSV_FORMS:
             if not re.fullmatch(form, rec[k]):
                 raise ValueError(f"line {lineno}: {header[k]} {rec[k]!r} does not match {form}")
         try:
@@ -403,7 +411,7 @@ def parse_bench_plan(text: str) -> BenchPlan:
 
     Either ``problems=P1,P5,...`` lists problem ids, or the keys of a
     single problem spec (``id=``, ``diag=``, ...) define one problem
-    inline. Both forms take an optional ``n`` (default 200) and build
+    inline. Both forms take an optional ``n`` (default ``DEFAULT_N``) and build
     each problem with the spec parser's ``build_spec``, so a rule key
     given with a family id must repeat that family's rule. A plan takes
     no ``seed``: its instances are seeded from ``base_seed``. Optional
@@ -432,7 +440,7 @@ def parse_bench_plan(text: str) -> BenchPlan:
         raise SpecParseError("plan needs either problems=... or an id=... block")
     # The spec seed is a placeholder: run_benchmark seeds every instance.
     specs = [
-        build_spec({"n": "200", **fields, "id": pid, "seed": "0"}, lines)
+        build_spec({"n": str(DEFAULT_N), **fields, "id": pid, "seed": "0"}, lines)
         for pid in ids
     ]
 

@@ -23,6 +23,7 @@ from .bench import (
 )
 from .evolution import SolverConfig, Variant, run_solver
 from .problems import (
+    DEFAULT_N,
     FAMILY_IDS,
     SpecParseError,
     family_spec,
@@ -72,32 +73,32 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--seed",
         type=int,
-        default=0,
+        default=SolverConfig.seed,
         help="seed for the solver run (and the instance, for family ids)",
     )
     solve.add_argument(
         "--n",
         type=int,
-        default=200,
-        help="dimension for family ids (ignored for spec files; default 200)",
+        default=DEFAULT_N,
+        help="dimension for family ids (ignored for spec files; default %(default)s)",
     )
     solve.add_argument(
         "--threshold",
         type=float,
-        default=1e-7,
-        help="residual threshold (default 1e-7)",
+        default=SolverConfig.threshold,
+        help="residual threshold (default %(default)s)",
     )
     solve.add_argument(
         "--max-gens",
         type=int,
-        default=10000,
-        help="generation cap (default 10000)",
+        default=SolverConfig.max_generations,
+        help="generation cap (default %(default)s)",
     )
     solve.add_argument(
         "--omega",
         type=float,
-        default=1.0,
-        help="relaxation factor for the FIXED_* variants (default 1.0)",
+        default=SolverConfig.fixed_omega,
+        help="relaxation factor for the FIXED_* variants (default %(default)s)",
     )
     solve.add_argument(
         "--trace",
@@ -130,10 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--problem", required=True, choices=list(FAMILY_IDS), help="family id"
     )
     generate.add_argument(
-        "--n", type=int, default=200, help="dimension (default 200)"
+        "--n", type=int, default=DEFAULT_N, help="dimension (default %(default)s)"
     )
     generate.add_argument(
-        "--seed", type=int, default=0, help="generation seed (default 0)"
+        "--seed", type=int, default=SolverConfig.seed,
+        help="generation seed (default %(default)s)"
     )
     generate.add_argument("--out", required=True, help="output file path")
     return parser

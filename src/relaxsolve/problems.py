@@ -28,6 +28,7 @@ from .linalg import DIAG_FLOOR, LinearSystem, checked_int, checked_real
 
 __all__ = [
     "ConstRule",
+    "DEFAULT_N",
     "FAMILY_IDS",
     "FormulaRule",
     "N_LIMIT",
@@ -43,6 +44,9 @@ __all__ = [
 
 # Every n is below this, so an n-by-n float64 array is a legal numpy size.
 N_LIMIT = 2**30
+
+# The n of a family instance when the CLI or a bench plan gives none.
+DEFAULT_N = 200
 
 # Zero-spanning diagonal intervals are resampled until |a_ii| >= this.
 DIAG_MIN_ABS = 1.0

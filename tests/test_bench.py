@@ -259,6 +259,7 @@ def test_read_csv_rejects_malformed_input():
     for k, bad in [
         (2, "-5"), (2, "+5"), (2, " 5"), (2, "5_0"),
         (3, "-3"), (3, "3.0"),
+        *[(k, bad) for k in (4, 5) for bad in ("1_0", " 1.5", "+2.0", "Infinity", "1E5")],
         (7, "-AB"), (7, "ff"), (7, "00000000000000FF"), (7, "0x000000000000ff"),
         (7, "000000000000000ff"),
     ]:

@@ -6,8 +6,17 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from relaxsolve import family_spec, generate_problem, parse_problem_spec, read_csv
-from relaxsolve.cli import main
+from relaxsolve import (
+    DEFAULT_N,
+    BenchPlan,
+    SolverConfig,
+    family_spec,
+    generate_problem,
+    parse_bench_plan,
+    parse_problem_spec,
+    read_csv,
+)
+from relaxsolve.cli import build_parser, main
 
 CUSTOM_SPEC = (
     "id=custom\nn=12\nseed=4\ndiag=const:50\noffdiag=uniform:-1,1\nrhs=uniform:-5,5\n"
@@ -96,6 +105,25 @@ def test_help_exits_0(capsys):
     assert "solve" in capsys.readouterr().out
     assert main(["solve", "--help"]) == 0
     assert "--variant" in capsys.readouterr().out
+
+
+def test_run_defaults_are_solver_config_defaults(capsys):
+    cfg = SolverConfig("JBTVA")
+    solve = build_parser().parse_args(["solve", "--problem", "P1", "--variant", "JBTVA"])
+    assert (solve.threshold, solve.max_gens, solve.seed, solve.omega) == (
+        cfg.threshold, cfg.max_generations, cfg.seed, cfg.fixed_omega)
+    generate = build_parser().parse_args(["generate", "--problem", "P1", "--out", "x"])
+    assert solve.n == generate.n == DEFAULT_N and generate.seed == cfg.seed
+    plans = [BenchPlan([family_spec("P1", 10, 0)], ["JBTVA"]), parse_bench_plan("problems=P1\n")]
+    for plan in plans:
+        assert (plan.threshold, plan.max_generations) == (cfg.threshold, cfg.max_generations)
+    assert plans[1].problems[0].n == DEFAULT_N
+    # The help text prints the same values.
+    assert main(["solve", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for default in (f"default {cfg.threshold}", f"default {cfg.max_generations}",
+                    f"default {cfg.fixed_omega}", f"default {DEFAULT_N}"):
+        assert default in text
 
 
 def test_unreadable_problem_file_exits_3(tmp_path, capsys):
