@@ -18,8 +18,15 @@ checkouts and diff the output to see whether a change moved any run:
 (default: this checkout's) and ``--seeds`` the seeds (default 1,2). The
 output is one JSON object per run and line, so a run added or removed
 changes only its own lines; a count of converged, capped and diverged
-runs goes to stderr. With the default seeds the grid is
+runs goes to stderr, after a line naming numpy's version, its BLAS build
+and the BLAS thread variables. With the default seeds the grid is
 (10 x 2 + 1) x 6 x 2 = 252 runs and takes a few seconds.
+
+Run as a script, it pins BLAS to one thread before numpy loads. The
+Gauss-Seidel variants' upper-triangle product (OpenBLAS ``dtrmv``) sums
+in an order that depends on the thread count, so their ``trace``,
+``best_state`` and ``final_residual`` bits do too (their generations and
+outcomes do not); outputs compare bit for bit only at one thread setting.
 
 A change in how fitness is computed (say, a residual derived from the
 sweep's own products instead of recomputed from A) moves the ``trace``
@@ -35,6 +42,7 @@ import os
 import sys
 
 SIZES = (30, 200)
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 OVERFLOW_SPEC = ("id=custom\nn=4\nseed={}\ndiag=const:1.0\n"
                  "offdiag=uniform:-1e300,1e300\nrhs=const:1.0\n")
 
@@ -62,6 +70,7 @@ def main(argv=None) -> int:
         problem_hash,
         run_solver,
     )
+    import numpy as np
 
     seeds = [int(s) for s in args.seeds.split(",")]
     instances = [(pid, family_spec(pid, n, seed))
@@ -88,6 +97,11 @@ def main(argv=None) -> int:
             })
     for r in runs:
         print(json.dumps(r))
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARS)
+    print(f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']} "
+          f"({blas.get('openblas configuration', 'no OpenBLAS configuration')}), {threads}",
+          file=sys.stderr)
     converged = sum(r["converged"] for r in runs)
     diverged = sum(r["diverged"] for r in runs)
     print(f"{len(runs)} runs: converged={converged} "
@@ -97,4 +111,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # BLAS must be pinned before numpy loads it (see the module docstring).
+    for _var in THREAD_VARS:
+        os.environ[_var] = "1"
     sys.exit(main())

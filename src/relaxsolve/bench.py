@@ -14,7 +14,6 @@ import csv
 import hashlib
 import html
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -52,12 +51,8 @@ __all__ = [
 
 CSV_HEADER = "problem,variant,seed,generations,elapsed_ms,final_residual,converged,problem_hash"
 
-# What repr writes for a float: digits with a fraction, an exponent or
-# both, inf, -inf or nan.
-_REAL = r"-?([0-9]+\.[0-9]+(e[+-][0-9]+)?|[0-9]+e[+-][0-9]+|inf)|nan"
-# (index, form) of every CSV column but the problem and variant names.
-_CSV_FORMS = ((2, "[0-9]+"), (3, "[0-9]+"), (4, _REAL), (5, _REAL),
-              (6, "true|false"), (7, "[0-9a-f]{16}"))
+# What each CSV column's text is converted with; write_csv judges its spelling.
+_CSV_TYPES = (str, str, int, int, float, float, lambda t: t == "true", lambda t: int(t, 16))
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -99,12 +94,13 @@ def problem_hash(sys: LinearSystem) -> int:
 class BenchPlan:
     """What to run: problems x variants x repetitions.
 
-    Every run shares the plan's residual ``threshold`` and generation cap
+    ``variants`` defaults to the four adaptive variants. Every run shares
+    the plan's residual ``threshold`` and generation cap
     ``max_generations``; ``SolverConfig`` sets their defaults and bounds.
     """
 
     problems: tuple[ProblemSpec, ...]
-    variants: tuple[Variant, ...]
+    variants: tuple[Variant, ...] = tuple(v for v in Variant if not v.is_fixed)
     repetitions: int = 10
     base_seed: int = 0
     threshold: float = SolverConfig.threshold
@@ -132,7 +128,10 @@ class BenchPlan:
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One CSV line: a single solver run and the hash of its system."""
+    """One CSV line: a single solver run and the hash of its system.
+
+    ``seed`` and ``problem_hash`` are unsigned 64-bit, ``generations`` nonnegative.
+    """
 
     problem_id: str
     variant: str
@@ -142,6 +141,13 @@ class BenchRow:
     final_residual: float
     converged: bool
     problem_hash: int
+
+    def __post_init__(self):
+        for name in ("seed", "problem_hash"):
+            if not 0 <= checked_int(name, getattr(self, name)) < 2**64:
+                raise ValueError(f"{name} must be an unsigned 64-bit integer")
+        if checked_int("generations", self.generations) < 0:
+            raise ValueError("generations must be a nonnegative integer")
 
 
 def run_benchmark(
@@ -195,6 +201,13 @@ def run_benchmark(
     return rows
 
 
+def _csv_fields(row: BenchRow) -> list[str]:
+    """The eight CSV fields ``write_csv`` writes for ``row``."""
+    return [row.problem_id, row.variant, str(row.seed), str(row.generations),
+            repr(float(row.elapsed_ms)), repr(float(row.final_residual)),
+            "true" if row.converged else "false", f"{row.problem_hash:016x}"]
+
+
 def write_csv(rows: Iterable[BenchRow], sink) -> None:
     """Write the fixed-schema CSV: exact header, LF newlines.
 
@@ -204,37 +217,37 @@ def write_csv(rows: Iterable[BenchRow], sink) -> None:
     """
     sink.write(CSV_HEADER + "\n")
     for row in rows:
-        sink.write(
-            f"{row.problem_id},{row.variant},{int(row.seed)},"
-            f"{int(row.generations)},{float(row.elapsed_ms)!r},"
-            f"{float(row.final_residual)!r},"
-            f"{'true' if row.converged else 'false'},{int(row.problem_hash):016x}\n"
-        )
+        sink.write(",".join(_csv_fields(row)) + "\n")
 
 
 def read_csv(source) -> list[BenchRow]:
-    """Parse ``write_csv`` output back into rows; reject any it cannot write."""
+    """Parse ``write_csv`` output back into rows; reject any it cannot write.
+
+    Each column is converted, ``BenchRow`` judges the values, and a line is
+    kept only if ``write_csv`` writes its row back as the same eight fields.
+    """
     reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty CSV: missing header") from None
+    header = next(reader, [])
     if header != CSV_HEADER.split(","):
         raise ValueError(f"unexpected CSV header: {','.join(header)!r}")
     rows = []
     for lineno, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
         if len(rec) != 8:
             raise ValueError(f"line {lineno}: expected 8 fields, got {len(rec)}")
-        for k, form in _CSV_FORMS:
-            if not re.fullmatch(form, rec[k]):
-                raise ValueError(f"line {lineno}: {header[k]} {rec[k]!r} does not match {form}")
+        values = []
+        for name, kind, text in zip(header, _CSV_TYPES, rec):
+            try:
+                values.append(kind(text))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {name}: {exc}") from None
         try:
-            rows.append(BenchRow(rec[0], rec[1], int(rec[2]), int(rec[3]), float(rec[4]),
-                                 float(rec[5]), rec[6] == "true", int(rec[7], 16)))
+            row = BenchRow(*values)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        for name, text, written in zip(header, rec, _csv_fields(row)):
+            if text != written:
+                raise ValueError(f"line {lineno}: {name} {text!r} is written {written!r}")
+        rows.append(row)
     return rows
 
 
@@ -392,7 +405,6 @@ def emit_trace_svg(
 _PLAN_VALUES = (("repetitions", int), ("base_seed", int),
                 ("threshold", float), ("max_generations", int))
 _PLAN_KEYS = ("problems", "variants") + tuple(key for key, _ in _PLAN_VALUES)
-_DEFAULT_VARIANTS = tuple(v for v in Variant if not v.is_fixed)
 
 
 def _name_list(fields, lines, key: str, what: str, allowed=None) -> list[str]:
@@ -415,8 +427,9 @@ def parse_bench_plan(text: str) -> BenchPlan:
     each problem with the spec parser's ``build_spec``, so a rule key
     given with a family id must repeat that family's rule. A plan takes
     no ``seed``: its instances are seeded from ``base_seed``. Optional
-    plan keys: ``variants`` (comma list, default the four adaptive
-    variants), ``repetitions`` (default 10), ``base_seed`` (default 0),
+    plan keys, each passed to ``BenchPlan`` only when given, so an omitted
+    one takes ``BenchPlan``'s default: ``variants`` (comma list; the four
+    adaptive variants), ``repetitions`` (10), ``base_seed`` (0),
     ``threshold`` and ``max_generations`` (shared by every run). A
     problem or variant named twice is an error.
     """
@@ -444,16 +457,14 @@ def parse_bench_plan(text: str) -> BenchPlan:
         for pid in ids
     ]
 
-    names = _DEFAULT_VARIANTS
+    values = {}
     if "variants" in fields:
-        names = _name_list(fields, lines, "variants", "variant", [v.value for v in Variant])
-
-    values = {
-        key: convert(fields, lines, key, kind)
-        for key, kind in _PLAN_VALUES
-        if key in fields
-    }
+        allowed = [v.value for v in Variant]
+        values["variants"] = _name_list(fields, lines, "variants", "variant", allowed)
+    for key, kind in _PLAN_VALUES:
+        if key in fields:
+            values[key] = convert(fields, lines, key, kind)
     try:
-        return BenchPlan(specs, names, **values)
+        return BenchPlan(specs, **values)
     except ValueError as exc:
         raise field_error(exc, lines) from None

@@ -296,43 +296,28 @@ def field_error(exc: ValueError, lines: dict[str, int | None]) -> SpecParseError
     return SpecParseError(message, lines.get(message.partition(" ")[0]))
 
 
-def _make_rule(kind: type, lineno: int | None, *values) -> Rule:
-    """Build a rule, reporting its own validation error at ``lineno``."""
-    try:
-        return kind(*values)
-    except ValueError as exc:
-        raise SpecParseError(str(exc), lineno) from None
-
-
-def _parse_rule(key: str, value: str, lineno: int | None) -> Rule:
-    kind, sep, rest = value.partition(":")
-    if not sep:
-        raise SpecParseError(
-            f"rule for {key!r} must look like const:<.>, uniform:<.>,<.> "
-            f"or formula:<name>, got {value!r}",
-            lineno,
-        )
+def _parse_rule(key: str, value: str) -> Rule:
+    """The rule ``value`` spells for ``key``; a plain ValueError if it spells none."""
+    kind, _, rest = value.partition(":")
     if kind == "const":
         try:
             value = float(rest)
         except ValueError:
-            raise SpecParseError(f"invalid constant {rest!r}", lineno) from None
-        return _make_rule(ConstRule, lineno, value)
+            raise ValueError(f"invalid constant {rest!r}") from None
+        return ConstRule(value)
     if kind == "uniform":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise SpecParseError(
-                f"malformed interval {rest!r}, expected <lo>,<hi>", lineno
-            )
         try:
-            lo, hi = float(parts[0]), float(parts[1])
+            lo, hi = map(float, rest.split(","))
         except ValueError:
-            raise SpecParseError(f"malformed interval {rest!r}", lineno) from None
-        return _make_rule(UniformRule, lineno, lo, hi)
+            raise ValueError(f"malformed interval {rest!r}, expected <lo>,<hi>") from None
+        return UniformRule(lo, hi)
     if kind == "formula":
         name, sep, slot = rest.partition("-")
-        return _make_rule(FormulaRule, lineno, name, slot if sep else key)
-    raise SpecParseError(f"unknown rule kind {kind!r}", lineno)
+        return FormulaRule(name, slot if sep else key)
+    raise ValueError(
+        f"unknown rule kind {kind!r} in {value!r}: a rule looks like "
+        f"const:<.>, uniform:<.>,<.> or formula:<name>"
+    )
 
 
 def scan_kv(
@@ -385,15 +370,18 @@ def build_spec(fields: dict[str, str], lines: dict[str, int | None]) -> ProblemS
     Shared by the problem-spec and benchmark-plan parsers; keys outside
     ``SPEC_KEYS`` are ignored. Values of present keys are converted
     first, so a malformed value is reported at its line even when other
-    keys are missing. ``ProblemSpec`` then judges the values, and its
-    error is reported at the line of the key it names.
+    keys are missing; a rule's error, whether from its text or from its
+    class, is reported at its key's line. ``ProblemSpec`` then judges the
+    values, and its error is reported at the line of the key it names.
     """
     n = convert(fields, lines, "n") if "n" in fields else None
     seed = convert(fields, lines, "seed") if "seed" in fields else None
-    rules = [
-        _parse_rule(key, fields[key], lines.get(key)) if key in fields else None
-        for key in _RULE_KEYS
-    ]
+    rules = []
+    for key in _RULE_KEYS:
+        try:
+            rules.append(_parse_rule(key, fields[key]) if key in fields else None)
+        except ValueError as exc:
+            raise SpecParseError(str(exc), lines.get(key)) from None
     for req in ("id", "n", "seed"):
         if req not in fields:
             raise SpecParseError(f"missing required key {req!r}")

@@ -254,12 +254,15 @@ def test_read_csv_rejects_malformed_input():
         read_csv(io.StringIO(good + "P1,JBTVA,1,2,3.0,4.0,maybe,00000000000000ff\n"))
     with pytest.raises(ValueError):
         read_csv(io.StringIO(good + "P1,JBTVA,x,2,3.0,4.0,true,00000000000000ff\n"))
-    # Every row write_csv cannot write is refused at its line.
+    # Every row write_csv cannot write is refused at its line and column,
+    # including values that convert but that write_csv would spell otherwise.
     ok = ["P1", "JBTVA", "5", "3", "1.0", "2.0", "true", "00000000000000ff"]
     for k, bad in [
-        (2, "-5"), (2, "+5"), (2, " 5"), (2, "5_0"),
-        (3, "-3"), (3, "3.0"),
-        *[(k, bad) for k in (4, 5) for bad in ("1_0", " 1.5", "+2.0", "Infinity", "1E5")],
+        (2, "-5"), (2, "+5"), (2, " 5"), (2, "5_0"), (2, "007"),
+        (3, "-3"), (3, "3.0"), (3, "02"),
+        *[(k, bad) for k in (4, 5) for bad in ("1_0", " 1.5", "+2.0", "Infinity", "1E5",
+                                               "3.50", "1.0e+16", "-nan")],
+        (6, "maybe"), (6, "TRUE"),
         (7, "-AB"), (7, "ff"), (7, "00000000000000FF"), (7, "0x000000000000ff"),
         (7, "000000000000000ff"),
     ]:
@@ -268,9 +271,46 @@ def test_read_csv_rejects_malformed_input():
             read_csv(io.StringIO(good + ",".join(ok) + "\n" + ",".join(rec) + "\n"))
     with pytest.raises(ValueError, match="^line 2: seed"):
         read_csv(io.StringIO(good + "P1,NOPE,-5,-3,nan,-1,true,-AB\n"))
+    with pytest.raises(ValueError, match="^line 3: expected 8 fields, got 0$"):
+        read_csv(io.StringIO(good + ",".join(ok) + "\n\n"))
     assert read_csv(io.StringIO(good + ",".join(ok) + "\n")) == [
         BenchRow("P1", "JBTVA", 5, 3, 1.0, 2.0, True, 0xFF)
     ]
+
+
+@pytest.mark.parametrize(
+    "field,bad",
+    [("seed", -1), ("seed", 2**64), ("seed", 1.0), ("seed", True),
+     ("generations", -1), ("generations", 2.0), ("generations", False),
+     ("problem_hash", -1), ("problem_hash", 2**64), ("problem_hash", True)],
+)
+def test_bench_row_judges_its_integers(field, bad):
+    values = {"problem_id": "P1", "variant": "JBTVA", "seed": 5, "generations": 3,
+              "elapsed_ms": 1.0, "final_residual": 2.0, "converged": True,
+              "problem_hash": 0xFF}
+    with pytest.raises(ValueError, match="^" + field):
+        BenchRow(**{**values, field: bad})
+    edge = {"seed": 2**64 - 1, "generations": 0, "problem_hash": np.uint64(2**64 - 1)}
+    assert BenchRow(**{**values, field: edge[field]})
+
+
+_CSV_NAMES = st.text(st.sampled_from("ABCPJGSTVMXabc0123456789_-"), min_size=1, max_size=12)
+_U64S = st.integers(0, 2**64 - 1)
+# Every float, with NaN, the infinities and subnormals drawn more often.
+_REALS = st.one_of(st.floats(), st.sampled_from(
+    (math.nan, -math.inf, math.inf, 5e-324, -2.2250738585072e-308, -0.0)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.builds(BenchRow, _CSV_NAMES, _CSV_NAMES, _U64S, st.integers(0, 2**40),
+                          _REALS, _REALS, st.booleans(), _U64S), max_size=4))
+def test_csv_text_round_trips(rows):
+    # Text is compared because a NaN row never equals itself.
+    first = io.StringIO()
+    write_csv(rows, first)
+    second = io.StringIO()
+    write_csv(read_csv(io.StringIO(first.getvalue())), second)
+    assert second.getvalue() == first.getvalue()
 
 
 def test_summarize_counts_endings_and_medians_over_converged_runs():

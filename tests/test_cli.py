@@ -10,6 +10,7 @@ from relaxsolve import (
     DEFAULT_N,
     BenchPlan,
     SolverConfig,
+    Variant,
     family_spec,
     generate_problem,
     parse_bench_plan,
@@ -114,9 +115,11 @@ def test_run_defaults_are_solver_config_defaults(capsys):
         cfg.threshold, cfg.max_generations, cfg.seed, cfg.fixed_omega)
     generate = build_parser().parse_args(["generate", "--problem", "P1", "--out", "x"])
     assert solve.n == generate.n == DEFAULT_N and generate.seed == cfg.seed
-    plans = [BenchPlan([family_spec("P1", 10, 0)], ["JBTVA"]), parse_bench_plan("problems=P1\n")]
+    plans = [BenchPlan([family_spec("P1", 10, 0)]), parse_bench_plan("problems=P1\n")]
+    adaptive = (Variant.JBTVA, Variant.GSBTVA, Variant.MJBTVA, Variant.MGSBTVA)
     for plan in plans:
         assert (plan.threshold, plan.max_generations) == (cfg.threshold, cfg.max_generations)
+        assert plan.variants == adaptive
     assert plans[1].problems[0].n == DEFAULT_N
     # The help text prints the same values.
     assert main(["solve", "--help"]) == 0

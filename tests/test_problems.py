@@ -289,6 +289,20 @@ def test_parse_rejections(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "rule,fragment",
+    [("uniform:3,1", "lo < hi"), ("uniform:1", "malformed interval"),
+     ("const:inf", "finite value"), ("formula:p9", "unknown formula"),
+     ("nonsense", "unknown rule kind")],
+)
+def test_rule_errors_are_reported_at_their_key(rule, fragment):
+    # A rule's own check and its text conversion both end at its key's line.
+    text = f"id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag={rule}\nrhs=const:1"
+    with pytest.raises(SpecParseError, match=f"^line 5: .*{fragment}") as err:
+        parse_problem_spec(text)
+    assert err.value.line == 5
+
+
 def test_render_parse_round_trip_family():
     spec = family_spec("P9", 64, seed=31)
     assert parse_problem_spec(render_problem_spec(spec)) == spec
