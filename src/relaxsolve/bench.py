@@ -10,7 +10,6 @@ of a text label, so results are invariant under reordering of the plan.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import html
 import math
@@ -23,7 +22,8 @@ from .evolution import DIVERGENCE_BOUND, RunResult, SolverConfig, Variant, run_s
 from .linalg import LinearSystem, checked_int
 from .problems import (
     DEFAULT_N,
-    SPEC_KEYS,
+    FAMILY_IDS,
+    RULE_KEYS,
     ProblemSpec,
     SpecParseError,
     build_spec,
@@ -53,6 +53,8 @@ CSV_HEADER = "problem,variant,seed,generations,elapsed_ms,final_residual,converg
 
 # What each CSV column's text is converted with; write_csv judges its spelling.
 _CSV_TYPES = (str, str, int, int, float, float, lambda t: t == "true", lambda t: int(t, 16))
+
+_VARIANT_NAMES = tuple(v.value for v in Variant)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -94,9 +96,11 @@ def problem_hash(sys: LinearSystem) -> int:
 class BenchPlan:
     """What to run: problems x variants x repetitions.
 
-    ``variants`` defaults to the four adaptive variants. Every run shares
-    the plan's residual ``threshold`` and generation cap
-    ``max_generations``; ``SolverConfig`` sets their defaults and bounds.
+    ``variants`` holds ``Variant`` values and defaults to the four adaptive
+    ones. No problem id or variant may repeat, since its runs would repeat
+    exactly and its rows could not be told apart. Every run shares the
+    plan's residual ``threshold`` and generation cap ``max_generations``;
+    ``SolverConfig`` sets their defaults and bounds.
     """
 
     problems: tuple[ProblemSpec, ...]
@@ -108,13 +112,21 @@ class BenchPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
-        object.__setattr__(
-            self, "variants", tuple(Variant(v) for v in self.variants)
-        )
+        variants = tuple(self.variants)
+        for v in variants:
+            if v not in _VARIANT_NAMES:
+                raise ValueError(f"variants has unknown variant {v!r}")
+        object.__setattr__(self, "variants", tuple(map(Variant, variants)))
         if not self.problems:
             raise ValueError("plan needs at least one problem")
         if not self.variants:
             raise ValueError("plan needs at least one variant")
+        ids = [spec.id for spec in self.problems]
+        names = [v.value for v in self.variants]
+        for field, what, seen in (("problems", "id", ids), ("variants", "variant", names)):
+            for k, name in enumerate(seen):
+                if name in seen[:k]:
+                    raise ValueError(f"{field} has repeated {what} {name!r}")
         if checked_int("repetitions", self.repetitions) < 1:
             raise ValueError("repetitions must be a positive integer")
         if not 0 <= checked_int("base_seed", self.base_seed) < 2**64:
@@ -130,7 +142,8 @@ class BenchPlan:
 class BenchRow:
     """One CSV line: a single solver run and the hash of its system.
 
-    ``seed`` and ``problem_hash`` are unsigned 64-bit, ``generations`` nonnegative.
+    ``seed`` and ``problem_hash`` are unsigned 64-bit, ``generations`` nonnegative,
+    ``problem_id`` a family id or ``custom``, ``variant`` a ``Variant`` value.
     """
 
     problem_id: str
@@ -148,6 +161,10 @@ class BenchRow:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer")
         if checked_int("generations", self.generations) < 0:
             raise ValueError("generations must be a nonnegative integer")
+        if self.problem_id not in FAMILY_IDS + ("custom",):
+            raise ValueError(f"problem_id must be a family id or custom, got {self.problem_id!r}")
+        if self.variant not in _VARIANT_NAMES:
+            raise ValueError(f"variant must be a Variant value, got {self.variant!r}")
 
 
 def run_benchmark(
@@ -223,15 +240,16 @@ def write_csv(rows: Iterable[BenchRow], sink) -> None:
 def read_csv(source) -> list[BenchRow]:
     """Parse ``write_csv`` output back into rows; reject any it cannot write.
 
-    Each column is converted, ``BenchRow`` judges the values, and a line is
-    kept only if ``write_csv`` writes its row back as the same eight fields.
+    Each column of a comma-split line is converted, ``BenchRow`` judges the
+    values, and a line is kept only if ``write_csv`` writes its row as it.
     """
-    reader = csv.reader(source)
-    header = next(reader, [])
+    lines = iter(source)
+    header = next(lines, "").rstrip("\n").split(",")
     if header != CSV_HEADER.split(","):
         raise ValueError(f"unexpected CSV header: {','.join(header)!r}")
     rows = []
-    for lineno, rec in enumerate(reader, start=2):
+    for lineno, line in enumerate(lines, start=2):
+        rec = line.rstrip("\n").split(",")
         if len(rec) != 8:
             raise ValueError(f"line {lineno}: expected 8 fields, got {len(rec)}")
         values = []
@@ -404,53 +422,28 @@ def emit_trace_svg(
 # Plan values the parser only converts; BenchPlan checks their bounds.
 _PLAN_VALUES = (("repetitions", int), ("base_seed", int),
                 ("threshold", float), ("max_generations", int))
-_PLAN_KEYS = ("problems", "variants") + tuple(key for key, _ in _PLAN_VALUES)
-
-
-def _name_list(fields, lines, key: str, what: str, allowed=None) -> list[str]:
-    """The comma-separated names under ``key``: none twice, each in ``allowed``."""
-    names = [name.strip() for name in fields[key].split(",")]
-    for k, name in enumerate(names):
-        if allowed is not None and name not in allowed:
-            raise SpecParseError(f"unknown {what} {name!r}", lines[key])
-        if name in names[:k]:
-            raise SpecParseError(f"repeated {what} {name!r}", lines[key])
-    return names
+_PLAN_KEYS = ("problems", "variants", "n") + RULE_KEYS + tuple(key for key, _ in _PLAN_VALUES)
 
 
 def parse_bench_plan(text: str) -> BenchPlan:
     """Parse a benchmark plan from the shared ``key=value`` text format.
 
-    Either ``problems=P1,P5,...`` lists problem ids, or the keys of a
-    single problem spec (``id=``, ``diag=``, ...) define one problem
-    inline. Both forms take an optional ``n`` (default ``DEFAULT_N``) and build
-    each problem with the spec parser's ``build_spec``, so a rule key
-    given with a family id must repeat that family's rule. A plan takes
-    no ``seed``: its instances are seeded from ``base_seed``. Optional
-    plan keys, each passed to ``BenchPlan`` only when given, so an omitted
-    one takes ``BenchPlan``'s default: ``variants`` (comma list; the four
-    adaptive variants), ``repetitions`` (10), ``base_seed`` (0),
-    ``threshold`` and ``max_generations`` (shared by every run). A
-    problem or variant named twice is an error.
+    ``problems=P1,P5,...`` names the problems, ``custom`` among them. The
+    spec parser's ``build_spec`` builds each from the optional ``n``
+    (default ``DEFAULT_N``) and rule keys ``diag``, ``offdiag``, ``rhs``,
+    which ``custom`` needs and a family id may only repeat; there is no
+    ``seed`` key, since ``base_seed`` seeds every instance. The other keys
+    go to ``BenchPlan`` only when given, so an omitted one takes its
+    default there: ``variants`` (comma list), ``repetitions``,
+    ``base_seed``, ``threshold`` and ``max_generations``. ``BenchPlan``
+    judges their values, and an error it raises is reported at the line of
+    the key it names.
     """
-    fields, lines = scan_kv(text, _PLAN_KEYS + SPEC_KEYS)
-    if "seed" in fields:
-        raise SpecParseError(
-            "a plan takes no seed: instances are seeded from base_seed",
-            lines["seed"],
-        )
-    if "problems" in fields and "id" in fields:
-        raise SpecParseError(
-            "use either problems=... or an inline id=... block, not both",
-            lines["problems"],
-        )
-    if "problems" in fields:
-        ids = _name_list(fields, lines, "problems", "id")
-        lines["id"] = lines["problems"]
-    elif "id" in fields:
-        ids = [fields["id"]]
-    else:
-        raise SpecParseError("plan needs either problems=... or an id=... block")
+    fields, lines = scan_kv(text, _PLAN_KEYS)
+    if "problems" not in fields:
+        raise SpecParseError("missing required key 'problems'")
+    ids = [pid.strip() for pid in fields["problems"].split(",")]
+    lines["id"] = lines["problems"]
     # The spec seed is a placeholder: run_benchmark seeds every instance.
     specs = [
         build_spec({"n": str(DEFAULT_N), **fields, "id": pid, "seed": "0"}, lines)
@@ -459,8 +452,7 @@ def parse_bench_plan(text: str) -> BenchPlan:
 
     values = {}
     if "variants" in fields:
-        allowed = [v.value for v in Variant]
-        values["variants"] = _name_list(fields, lines, "variants", "variant", allowed)
+        values["variants"] = [name.strip() for name in fields["variants"].split(",")]
     for key, kind in _PLAN_VALUES:
         if key in fields:
             values[key] = convert(fields, lines, key, kind)

@@ -2,10 +2,12 @@
 
 Each family fills a dense n-by-n system from three rules -- one for the
 diagonal, one for the off-diagonal block, one for the right-hand side.
-A rule is a constant, a uniform open interval, or a 1-based index
-formula. Families P1-P6, P9 and P10 are random; P7 and P8 are fully
+A rule is a constant, a uniform open interval, or a named 1-based index
+formula (``p7`` or ``p8``); each kind fills whichever slot it sits in.
+Families P1-P6, P9 and P10 are random; P7 and P8 are fully
 deterministic. Custom problems use the same rule kinds through a small
-line-oriented ``key=value`` spec format.
+line-oriented ``key=value`` spec format, whose ``scan_kv`` and
+``build_spec`` the bench plan parser shares.
 
 Diagonal interval rules are rejection-sampled until every diagonal
 entry has magnitude at least 1 if the interval spans zero (P3, P9)
@@ -97,36 +99,31 @@ class UniformRule:
 class FormulaRule:
     """Entries computed from 1-based indices by a named built-in formula.
 
-    ``family`` is ``"p7"`` or ``"p8"``; ``slot`` is ``"diag"``,
-    ``"offdiag"`` or ``"rhs"``. The formulas take vectorized row index
-    ``i``, column index ``j`` and dimension ``n``.
+    ``family`` is ``"p7"`` or ``"p8"``. Like the other rules, it fills
+    whichever slot it sits in, with that family's formula for the slot.
     """
 
     family: str
-    slot: str
 
     def __post_init__(self):
-        if (self.family, self.slot) not in _FORMULAS:
-            raise ValueError(f"unknown formula {self.family}-{self.slot}")
+        if self.family not in _FORMULAS:
+            raise ValueError(f"unknown formula {self.family!r}")
 
     def __str__(self) -> str:
-        return f"formula:{self.family}-{self.slot}"
-
-    def evaluate(self, i, j, n: int):
-        return _FORMULAS[(self.family, self.slot)](i, j, n)
+        return f"formula:{self.family}"
 
 
 Rule = Union[ConstRule, UniformRule, FormulaRule]
 
-# P7: a_ii = 20 i, a_ij = (100 - j)/20, b_i = 10 i (column-indexed
-# off-diagonal).  P8: a_ii = 20 n, a_ij = j, b_i = i.
-_FORMULAS: dict[tuple[str, str], Callable] = {
-    ("p7", "diag"): lambda i, j, n: 20.0 * i,
-    ("p7", "offdiag"): lambda i, j, n: (100.0 - j) / 20.0,
-    ("p7", "rhs"): lambda i, j, n: 10.0 * i,
-    ("p8", "diag"): lambda i, j, n: 20.0 * n,
-    ("p8", "offdiag"): lambda i, j, n: 1.0 * j,
-    ("p8", "rhs"): lambda i, j, n: 1.0 * i,
+# By family, then slot; of vectorized 1-based indices i, j and size n.
+# P7: a_ii = 20 i, a_ij = (100 - j)/20, b_i = 10 i.  P8: a_ii = 20 n, a_ij = j, b_i = i.
+_FORMULAS: dict[str, dict[str, Callable]] = {
+    "p7": {"diag": lambda i, j, n: 20.0 * i,
+           "offdiag": lambda i, j, n: (100.0 - j) / 20.0,
+           "rhs": lambda i, j, n: 10.0 * i},
+    "p8": {"diag": lambda i, j, n: 20.0 * n,
+           "offdiag": lambda i, j, n: 1.0 * j,
+           "rhs": lambda i, j, n: 1.0 * i},
 }
 
 # diag, offdiag, rhs rule triples for the canonical families.
@@ -137,22 +134,14 @@ _FAMILIES: dict[str, tuple[Rule, Rule, Rule]] = {
     "P4": (ConstRule(100), UniformRule(-1, 1), UniformRule(0, 100)),
     "P5": (ConstRule(50), UniformRule(-10, 10), UniformRule(-5, 5)),
     "P6": (ConstRule(50), UniformRule(-1, 1), ConstRule(2)),
-    "P7": (
-        FormulaRule("p7", "diag"),
-        FormulaRule("p7", "offdiag"),
-        FormulaRule("p7", "rhs"),
-    ),
-    "P8": (
-        FormulaRule("p8", "diag"),
-        FormulaRule("p8", "offdiag"),
-        FormulaRule("p8", "rhs"),
-    ),
+    "P7": (FormulaRule("p7"),) * 3,
+    "P8": (FormulaRule("p8"),) * 3,
     "P9": (UniformRule(-20, 200), UniformRule(-2, 3), UniformRule(-2, 3)),
     "P10": (ConstRule(40), UniformRule(-4, 4), ConstRule(200)),
 }
 
 FAMILY_IDS = tuple(_FAMILIES)
-_RULE_KEYS = ("diag", "offdiag", "rhs")
+RULE_KEYS = ("diag", "offdiag", "rhs")
 
 
 def _diag_min_abs(rule: UniformRule) -> float:
@@ -173,10 +162,9 @@ class ProblemSpec:
 
     ``id`` is a family id (P1..P10) or ``"custom"``. A family fixes its
     three rules: an omitted rule is filled in from the family, and a
-    given one must equal it. ``custom`` needs all three rules, and a
-    formula rule must target the slot it sits in. Every error message
-    starts with the field it names (``id``, ``n``, ``seed``, ``diag``,
-    ``offdiag`` or ``rhs``).
+    given one must equal it. ``custom`` needs all three rules, each of
+    any kind in any slot. Every error message starts with the field it
+    names (``id``, ``n``, ``seed``, ``diag``, ``offdiag`` or ``rhs``).
     """
 
     id: str
@@ -197,7 +185,7 @@ class ProblemSpec:
             raise ValueError(f"n must be a positive integer below {N_LIMIT}")
         if not 0 <= checked_int("seed", self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        for k, key in enumerate(_RULE_KEYS):
+        for k, key in enumerate(RULE_KEYS):
             rule = getattr(self, f"{key}_rule")
             if fixed is not None and rule is None:
                 object.__setattr__(self, f"{key}_rule", fixed[k])
@@ -208,8 +196,6 @@ class ProblemSpec:
                 )
             elif rule is None:
                 raise ValueError(f"{key} rule is required with id=custom")
-            elif isinstance(rule, FormulaRule) and rule.slot != key:
-                raise ValueError(f"{key} rule {rule} targets slot {rule.slot!r}")
         diag = self.diag_rule
         if isinstance(diag, ConstRule) and abs(diag.value) < DIAG_FLOOR:
             raise ValueError("diag constant rule must be nonzero")
@@ -235,15 +221,15 @@ def family_spec(pid: str, n: int, seed: int) -> ProblemSpec:
     return ProblemSpec(pid, n, seed)
 
 
-def _fill(rule: Rule, shape, rng: np.random.Generator, i, j, min_abs: float = 0.0):
-    """Entries of ``shape`` from ``rule``; ``i``, ``j`` are 1-based indices.
+def _fill(rule: Rule, slot: str, shape, rng: np.random.Generator, i, j, min_abs: float = 0.0):
+    """Entries of ``shape`` from ``rule`` in ``slot``; ``i``, ``j`` are 1-based indices.
 
     An interval draws from ``rng``, redrawing entries below ``min_abs``.
     """
     if isinstance(rule, ConstRule):
         return np.full(shape, float(rule.value))
     if isinstance(rule, FormulaRule):
-        vals = np.broadcast_to(rule.evaluate(i, j, shape[0]), shape)
+        vals = np.broadcast_to(_FORMULAS[rule.family][slot](i, j, shape[0]), shape)
         return np.array(vals, dtype=np.float64, order="C")
     vals = rng.uniform(rule.lo, rule.hi, size=shape)
     while min_abs > 0.0 and (bad := np.abs(vals) < min_abs).any():
@@ -270,11 +256,11 @@ def generate_problem(
         rng = np.random.default_rng(spec.seed)
     n, diag = spec.n, spec.diag_rule
     i = np.arange(1, n + 1, dtype=np.float64)
-    a = _fill(spec.offdiag_rule, (n, n), rng, i[:, None], i[None, :])
+    a = _fill(spec.offdiag_rule, "offdiag", (n, n), rng, i[:, None], i[None, :])
     min_abs = _diag_min_abs(diag) if isinstance(diag, UniformRule) else 0.0
-    np.fill_diagonal(a, _fill(diag, (n,), rng, i, i, min_abs))
+    np.fill_diagonal(a, _fill(diag, "diag", (n,), rng, i, i, min_abs))
     a.setflags(write=False)  # so LinearSystem keeps it without a copy
-    return LinearSystem(a, _fill(spec.rhs_rule, (n,), rng, i, i))
+    return LinearSystem(a, _fill(spec.rhs_rule, "rhs", (n,), rng, i, i))
 
 
 class SpecParseError(ValueError):
@@ -287,7 +273,7 @@ class SpecParseError(ValueError):
         super().__init__(message)
 
 
-SPEC_KEYS = ("id", "n", "seed") + _RULE_KEYS
+SPEC_KEYS = ("id", "n", "seed") + RULE_KEYS
 
 
 def field_error(exc: ValueError, lines: dict[str, int | None]) -> SpecParseError:
@@ -296,8 +282,8 @@ def field_error(exc: ValueError, lines: dict[str, int | None]) -> SpecParseError
     return SpecParseError(message, lines.get(message.partition(" ")[0]))
 
 
-def _parse_rule(key: str, value: str) -> Rule:
-    """The rule ``value`` spells for ``key``; a plain ValueError if it spells none."""
+def _parse_rule(value: str) -> Rule:
+    """The rule ``value`` spells; a plain ValueError if it spells none."""
     kind, _, rest = value.partition(":")
     if kind == "const":
         try:
@@ -312,8 +298,7 @@ def _parse_rule(key: str, value: str) -> Rule:
             raise ValueError(f"malformed interval {rest!r}, expected <lo>,<hi>") from None
         return UniformRule(lo, hi)
     if kind == "formula":
-        name, sep, slot = rest.partition("-")
-        return FormulaRule(name, slot if sep else key)
+        return FormulaRule(rest)
     raise ValueError(
         f"unknown rule kind {kind!r} in {value!r}: a rule looks like "
         f"const:<.>, uniform:<.>,<.> or formula:<name>"
@@ -377,9 +362,9 @@ def build_spec(fields: dict[str, str], lines: dict[str, int | None]) -> ProblemS
     n = convert(fields, lines, "n") if "n" in fields else None
     seed = convert(fields, lines, "seed") if "seed" in fields else None
     rules = []
-    for key in _RULE_KEYS:
+    for key in RULE_KEYS:
         try:
-            rules.append(_parse_rule(key, fields[key]) if key in fields else None)
+            rules.append(_parse_rule(fields[key]) if key in fields else None)
         except ValueError as exc:
             raise SpecParseError(str(exc), lines.get(key)) from None
     for req in ("id", "n", "seed"):

@@ -11,6 +11,7 @@ from relaxsolve import (
     BenchPlan,
     BenchRow,
     ConstRule,
+    FAMILY_IDS,
     LinearSystem,
     ProblemSpec,
     UniformRule,
@@ -194,11 +195,25 @@ def test_bench_plan_validation():
     ):
         with pytest.raises(ValueError, match="^" + next(iter(bad))):
             BenchPlan(problems=(_small_problem(),), variants=(Variant.JBTVA,), **bad)
+    with pytest.raises(ValueError, match="^variants has unknown variant 'NOPE'$"):
+        BenchPlan(problems=(_small_problem(),), variants=("JBTVA", "NOPE"))
     plan = BenchPlan(
         problems=(_small_problem(),), variants=(Variant.JBTVA,),
         repetitions=np.int64(2), base_seed=np.uint64(5), max_generations=np.int32(9),
     )
     assert (plan.repetitions, plan.base_seed, plan.max_generations) == (2, 5, 9)
+
+
+def test_bench_plan_refuses_repeats():
+    # A problem id or variant named twice would repeat its runs exactly,
+    # and its rows could not be told apart.
+    p1 = family_spec("P1", 5, 0)
+    with pytest.raises(ValueError, match="^problems has repeated id 'P1'$"):
+        BenchPlan((p1, p1), variants=("MJBTVA",), repetitions=1)
+    with pytest.raises(ValueError, match="^problems has repeated id 'custom'$"):
+        BenchPlan((_small_problem(n=12), _small_problem(n=13)), repetitions=1)
+    with pytest.raises(ValueError, match="^variants has repeated variant 'MJBTVA'$"):
+        BenchPlan((p1,), variants=("MJBTVA", Variant.MJBTVA), repetitions=1)
 
 
 # --------------------------------------------------------------------- CSV
@@ -271,7 +286,7 @@ def test_read_csv_rejects_malformed_input():
             read_csv(io.StringIO(good + ",".join(ok) + "\n" + ",".join(rec) + "\n"))
     with pytest.raises(ValueError, match="^line 2: seed"):
         read_csv(io.StringIO(good + "P1,NOPE,-5,-3,nan,-1,true,-AB\n"))
-    with pytest.raises(ValueError, match="^line 3: expected 8 fields, got 0$"):
+    with pytest.raises(ValueError, match="^line 3: expected 8 fields, got 1$"):
         read_csv(io.StringIO(good + ",".join(ok) + "\n\n"))
     assert read_csv(io.StringIO(good + ",".join(ok) + "\n")) == [
         BenchRow("P1", "JBTVA", 5, 3, 1.0, 2.0, True, 0xFF)
@@ -294,7 +309,26 @@ def test_bench_row_judges_its_integers(field, bad):
     assert BenchRow(**{**values, field: edge[field]})
 
 
-_CSV_NAMES = st.text(st.sampled_from("ABCPJGSTVMXabc0123456789_-"), min_size=1, max_size=12)
+def test_bench_row_judges_id_and_variant():
+    # An id holding a comma would be written as nine fields.
+    with pytest.raises(ValueError, match="^problem_id must be a family id or custom, got 'a,b'$"):
+        BenchRow("a,b", "JBTVA", 1, 2, 1.0, 2.0, True, 3)
+    with pytest.raises(ValueError, match="^variant must be a Variant value, got 'NOPE'$"):
+        BenchRow("P1", "NOPE", 1, 2, 1.0, 2.0, True, 3)
+    assert BenchRow("custom", Variant.FIXED_GS_SR, 1, 2, 1.0, 2.0, True, 3)
+
+
+def test_read_csv_refuses_quoted_fields():
+    # write_csv never quotes a field, so a quoted one is no line it writes.
+    text = CSV_HEADER + '\n"P1",JBTVA,5,3,1.0,2.0,true,00000000000000ff\n'
+    with pytest.raises(ValueError, match="^line 2: problem_id .* got '\"P1\"'$"):
+        read_csv(io.StringIO(text))
+    with pytest.raises(ValueError, match="^line 2: variant"):
+        read_csv(io.StringIO(CSV_HEADER + '\nP1,"JBTVA",5,3,1.0,2.0,true,00000000000000ff\n'))
+
+
+_CSV_IDS = st.sampled_from(FAMILY_IDS + ("custom",))
+_CSV_VARIANTS = st.sampled_from([v.value for v in Variant])
 _U64S = st.integers(0, 2**64 - 1)
 # Every float, with NaN, the infinities and subnormals drawn more often.
 _REALS = st.one_of(st.floats(), st.sampled_from(
@@ -302,7 +336,7 @@ _REALS = st.one_of(st.floats(), st.sampled_from(
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(st.lists(st.builds(BenchRow, _CSV_NAMES, _CSV_NAMES, _U64S, st.integers(0, 2**40),
+@given(st.lists(st.builds(BenchRow, _CSV_IDS, _CSV_VARIANTS, _U64S, st.integers(0, 2**40),
                           _REALS, _REALS, st.booleans(), _U64S), max_size=4))
 def test_csv_text_round_trips(rows):
     # Text is compared because a NaN row never equals itself.
@@ -446,12 +480,14 @@ def test_parse_plan_defaults():
 
 def test_parse_plan_inline_custom_problem():
     text = (
-        "id=custom\nn=16\ndiag=const:50\noffdiag=uniform:-1,1\n"
+        "problems=custom\nn=16\ndiag=const:50\noffdiag=uniform:-1,1\n"
         "rhs=uniform:-5,5\nvariants=FIXED_GS_SR\nthreshold=1e-6\n"
         "max_generations=500\nrepetitions=2\n"
     )
     plan = parse_bench_plan(text)
+    assert [p.id for p in plan.problems] == ["custom"]
     assert plan.problems[0].n == 16
+    assert plan.problems[0].diag_rule == ConstRule(50.0)
     assert plan.variants == (Variant.FIXED_GS_SR,)
     assert plan.threshold == 1e-6
     assert plan.max_generations == 500
@@ -462,14 +498,14 @@ def test_parse_plan_inline_custom_problem():
     [
         ("problems=P1\nwhatever=1", "unknown key"),
         ("problems=P1\nvariants=XBTVA", "unknown variant"),
-        ("problems=P1,P1", "line 1: repeated id 'P1'"),
-        ("problems=P1\nvariants=JBTVA,JBTVA", "line 2: repeated variant 'JBTVA'"),
-        ("problems=P1\nid=P2\nn=5", "not both"),
-        ("repetitions=3", "plan needs either"),
+        ("problems=P1,P1", "line 1: problems has repeated id 'P1'"),
+        ("problems=P1\nvariants=MJBTVA,MJBTVA", "line 2: variants has repeated variant 'MJBTVA'"),
+        ("problems=P1\nid=P2\nn=5", "line 2: unknown key 'id'"),
+        ("repetitions=3", "missing required key 'problems'"),
         ("problems=P0", "unknown id"),
         ("problems=P11", "line 1: id must be custom or one of P1..P10, got unknown id 'P11'"),
-        ("problems=P1\nseed=5", "line 2: a plan takes no seed"),
-        ("id=P1\nseed=5", "instances are seeded from base_seed"),
+        ("problems=P1\nseed=5", "line 2: unknown key 'seed'"),
+        ("id=P1\nseed=5", "line 1: unknown key 'id'"),
         ("problems=P1\ndiag=const:1", "line 2: diag of P1 is fixed to uniform:100,200"),
         ("problems=P1\nn=0", "line 2: n must be a positive integer"),
         ("problems=P1\nrepetitions=0", "positive integer"),
@@ -507,7 +543,7 @@ _PLAN = {"variants": "MJBTVA", "repetitions": "2", "base_seed": "0",
 _BASES = (
     (parse_problem_spec, {"id": "custom", "n": "5", "seed": "0", **_RULES}),
     (parse_bench_plan, {"problems": "P1,P6", "n": "5", **_PLAN}),
-    (parse_bench_plan, {"id": "custom", "n": "5", **_RULES, **_PLAN}),
+    (parse_bench_plan, {"problems": "custom", "n": "5", **_RULES, **_PLAN}),
 )
 
 

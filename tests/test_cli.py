@@ -24,7 +24,7 @@ CUSTOM_SPEC = (
 )
 
 SMALL_PLAN = (
-    "id=custom\nn=12\ndiag=const:50\noffdiag=uniform:-1,1\nrhs=uniform:-5,5\n"
+    "problems=custom\nn=12\ndiag=const:50\noffdiag=uniform:-1,1\nrhs=uniform:-5,5\n"
     "variants=JBTVA,MJBTVA\nrepetitions=2\nbase_seed=6\n"
 )
 

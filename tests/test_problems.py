@@ -229,15 +229,16 @@ def test_parse_custom_spec_mirroring_p6():
 def test_parse_formula_rules():
     text = (
         "id=custom\nn=6\nseed=0\n"
-        "diag=formula:p7\noffdiag=formula:p7-offdiag\nrhs=formula:p7\n"
+        "diag=formula:p7\noffdiag=formula:p7\nrhs=formula:p7\n"
     )
+    # A formula rule takes its slot from its key, so P7's one rule in all
+    # three slots builds P7 itself, and renders as it was written.
     spec = parse_problem_spec(text)
-    assert spec.diag_rule == FormulaRule("p7", "diag")
-    assert spec.offdiag_rule == FormulaRule("p7", "offdiag")
-    assert spec.rhs_rule == FormulaRule("p7", "rhs")
+    assert spec.diag_rule == spec.offdiag_rule == spec.rhs_rule == FormulaRule("p7")
     assert np.array_equal(
         generate_problem(spec).a, generate_problem(family_spec("P7", 6, 0)).a
     )
+    assert render_problem_spec(spec).endswith(text.partition("seed=0\n")[2])
 
 
 def test_parse_accepts_comments_and_blanks():
@@ -266,7 +267,7 @@ def test_parse_error_reports_line_number():
         ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=uniform:1\nrhs=const:1", "malformed interval"),
         ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=uniform:a,b\nrhs=const:1", "malformed interval"),
         ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=uniform:3,1\nrhs=const:1", "lo < hi"),
-        ("id=custom\nn=5\nseed=0\ndiag=formula:p7-rhs\noffdiag=uniform:0,1\nrhs=const:1", "targets slot"),
+        ("id=custom\nn=5\nseed=0\ndiag=formula:p7-rhs\noffdiag=uniform:0,1\nrhs=const:1", "line 4: unknown formula 'p7-rhs'"),
         ("id=custom\nn=5\nseed=0\ndiag=nonsense:1\noffdiag=uniform:0,1\nrhs=const:1", "unknown rule kind"),
         ("id=custom\nn=5\nseed=0\ndiag=formula:p9\noffdiag=uniform:0,1\nrhs=const:1", "unknown formula"),
         ("id=custom\nn=5\nseed=0\ndiag=const:0\noffdiag=uniform:0,1\nrhs=const:1", "nonzero"),
@@ -293,6 +294,7 @@ def test_parse_rejections(text, fragment):
     "rule,fragment",
     [("uniform:3,1", "lo < hi"), ("uniform:1", "malformed interval"),
      ("const:inf", "finite value"), ("formula:p9", "unknown formula"),
+     ("formula:p7-offdiag", "unknown formula 'p7-offdiag'"),
      ("nonsense", "unknown rule kind")],
 )
 def test_rule_errors_are_reported_at_their_key(rule, fragment):
@@ -329,7 +331,7 @@ def _accepted_specs(draw):
         return ProblemSpec(pid, n, seed)
     reals = st.floats(allow_nan=False, allow_infinity=False)
     rules = []
-    for slot in ("diag", "offdiag", "rhs"):
+    for _ in range(3):
         kind = draw(st.sampled_from(["const", "uniform", "formula"]))
         try:
             if kind == "const":
@@ -337,7 +339,7 @@ def _accepted_specs(draw):
             elif kind == "uniform":
                 rules.append(UniformRule(*sorted([draw(reals), draw(reals)])))
             else:
-                rules.append(FormulaRule(draw(st.sampled_from(["p7", "p8"])), slot))
+                rules.append(FormulaRule(draw(st.sampled_from(["p7", "p8"]))))
         except ValueError:
             assume(False)
     try:
@@ -398,5 +400,6 @@ def test_problem_spec_validation():
     # numpy reals render as plain numbers, which the parser reads back.
     assert str(UniformRule(np.int64(-1), np.float64(2.5))) == "uniform:-1,2.5"
     assert str(ConstRule(np.float32(0.5))) == "const:0.5"
-    with pytest.raises(ValueError):
-        FormulaRule("p9", "diag")
+    for bad in ("p9", "p7-rhs", ""):
+        with pytest.raises(ValueError, match="^unknown formula"):
+            FormulaRule(bad)
