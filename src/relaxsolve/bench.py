@@ -112,6 +112,9 @@ class BenchPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
+        for spec in self.problems:
+            if not isinstance(spec, ProblemSpec):
+                raise ValueError(f"problems must hold ProblemSpec entries, got {spec!r}")
         variants = tuple(self.variants)
         for v in variants:
             if v not in _VARIANT_NAMES:
@@ -315,6 +318,12 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _RESIDUAL_FLOOR = 1e-16
 
 
+def _svg_element(tag: str, text: str | None = None, /, **attrs: object) -> str:
+    """One SVG element: ``attrs`` in order, ``_`` written ``-``; ``/>`` or escaped ``text``."""
+    head = f"<{tag}" + "".join([f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items()])
+    return head + "/>" if text is None else f"{head}>{html.escape(text, quote=False)}</{tag}>"
+
+
 def emit_trace_svg(
     traces: Mapping[str, Sequence[tuple[int, float]]], sink, title: str = ""
 ) -> None:
@@ -355,68 +364,44 @@ def emit_trace_svg(
     def py(v):
         return _MT + (y_hi - v) / (y_hi - y_lo) * plot_h
 
+    base, mid_x, mid_y = _MT + plot_h, f"{_ML + plot_w / 2:.1f}", f"{_MT + plot_h / 2:.1f}"
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_SVG_W}" height="{_SVG_H}" '
-        f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<line x1="{_ML}" y1="{_MT + plot_h}" x2="{_ML + plot_w}" '
-        f'y2="{_MT + plot_h}" stroke="black"/>',
-        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + plot_h}" '
-        f'stroke="black"/>',
+        f'width="{_SVG_W}" height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
+        _svg_element("rect", width=_SVG_W, height=_SVG_H, fill="white"),
+        _svg_element("line", x1=_ML, y1=base, x2=_ML + plot_w, y2=base, stroke="black"),
+        _svg_element("line", x1=_ML, y1=_MT, x2=_ML, y2=base, stroke="black"),
     ]
     if title:
-        out.append(
-            f'<text x="{_ML + plot_w / 2:.1f}" y="{_MT - 10}" '
-            f'text-anchor="middle" font-size="13">{html.escape(title, quote=False)}</text>'
-        )
+        out.append(_svg_element("text", title, x=mid_x, y=_MT - 10, text_anchor="middle",
+                                font_size=13))
     for k in range(5):
-        gx = x_lo + (x_hi - x_lo) * k / 4
-        vx = px(gx)
-        out.append(
-            f'<line x1="{vx:.1f}" y1="{_MT + plot_h}" x2="{vx:.1f}" '
-            f'y2="{_MT + plot_h + 4}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{vx:.1f}" y="{_MT + plot_h + 17}" text-anchor="middle" '
-            f'font-size="11">{gx:.0f}</text>'
-        )
-        vy = y_lo + (y_hi - y_lo) * k / 4
-        out.append(
-            f'<line x1="{_ML - 4}" y1="{py(vy):.1f}" x2="{_ML}" '
-            f'y2="{py(vy):.1f}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{_ML - 7}" y="{py(vy) + 4:.1f}" text-anchor="end" '
-            f'font-size="11">{vy:.1f}</text>'
-        )
-    out.append(
-        f'<text x="{_ML + plot_w / 2:.1f}" y="{_SVG_H - 12}" '
-        f'text-anchor="middle" font-size="12">generation</text>'
-    )
-    out.append(
-        f'<text x="16" y="{_MT + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-size="12" transform="rotate(-90 16 {_MT + plot_h / 2:.1f})">'
-        f"log10 residual</text>"
-    )
+        gx, vy = x_lo + (x_hi - x_lo) * k / 4, y_lo + (y_hi - y_lo) * k / 4
+        vx, tick_y = f"{px(gx):.1f}", f"{py(vy):.1f}"
+        out += [
+            _svg_element("line", x1=vx, y1=base, x2=vx, y2=base + 4, stroke="black"),
+            _svg_element("text", f"{gx:.0f}", x=vx, y=base + 17, text_anchor="middle",
+                         font_size=11),
+            _svg_element("line", x1=_ML - 4, y1=tick_y, x2=_ML, y2=tick_y, stroke="black"),
+            _svg_element("text", f"{vy:.1f}", x=_ML - 7, y=f"{py(vy) + 4:.1f}",
+                         text_anchor="end", font_size=11),
+        ]
+    out += [
+        _svg_element("text", "generation", x=mid_x, y=_SVG_H - 12, text_anchor="middle",
+                     font_size=12),
+        _svg_element("text", "log10 residual", x=16, y=mid_y, text_anchor="middle",
+                     font_size=12, transform=f"rotate(-90 16 {mid_y})"),
+    ]
     for idx, ((label, _), pts) in enumerate(zip(items, plotted)):
         color = _PALETTE[idx % len(_PALETTE)]
         coords = " ".join(f"{px(g):.2f},{py(v):.2f}" for g, v in pts)
-        out.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{coords}"/>'
-        )
         ly = _MT + 8 + idx * 16
-        out.append(
-            f'<rect x="{_ML + plot_w - 120}" y="{ly}" width="10" height="10" '
-            f'fill="{color}"/>'
-        )
-        out.append(
-            f'<text x="{_ML + plot_w - 105}" y="{ly + 9}" font-size="11">'
-            f"{html.escape(label, quote=False)}</text>"
-        )
-    out.append("</svg>")
-    sink.write("\n".join(out) + "\n")
+        out += [
+            _svg_element("polyline", fill="none", stroke=color, stroke_width=1.5, points=coords),
+            _svg_element("rect", x=_ML + plot_w - 120, y=ly, width=10, height=10, fill=color),
+            _svg_element("text", label, x=_ML + plot_w - 105, y=ly + 9, font_size=11),
+        ]
+    sink.write("\n".join(out) + "\n</svg>\n")
 
 
 # Plan values the parser only converts; BenchPlan checks their bounds.

@@ -132,7 +132,10 @@ class SolverConfig:
     fixed_omega: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", Variant(self.variant))
+        try:
+            object.__setattr__(self, "variant", Variant(self.variant))
+        except ValueError:
+            raise ValueError(f"variant must be a Variant value, got {self.variant!r}") from None
         # An infinite threshold would count every run as converged.
         if not 0.0 < checked_real("threshold", self.threshold) < math.inf:
             raise ValueError(

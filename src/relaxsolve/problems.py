@@ -198,7 +198,9 @@ class ProblemSpec:
                 raise ValueError(f"{key} rule is required with id=custom")
         diag = self.diag_rule
         if isinstance(diag, ConstRule) and abs(diag.value) < DIAG_FLOOR:
-            raise ValueError("diag constant rule must be nonzero")
+            raise ValueError(
+                f"diag constant rule needs |value| >= {DIAG_FLOOR!r}, got {diag.value!r}"
+            )
         if isinstance(diag, UniformRule):
             lo, hi = diag.lo, diag.hi
             min_abs = _diag_min_abs(diag)

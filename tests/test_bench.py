@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import tracemalloc
@@ -197,6 +198,8 @@ def test_bench_plan_validation():
             BenchPlan(problems=(_small_problem(),), variants=(Variant.JBTVA,), **bad)
     with pytest.raises(ValueError, match="^variants has unknown variant 'NOPE'$"):
         BenchPlan(problems=(_small_problem(),), variants=("JBTVA", "NOPE"))
+    with pytest.raises(ValueError, match="^problems must hold ProblemSpec entries, got 'P1'$"):
+        BenchPlan(("P1",), repetitions=1)
     plan = BenchPlan(
         problems=(_small_problem(),), variants=(Variant.JBTVA,),
         repetitions=np.int64(2), base_seed=np.uint64(5), max_generations=np.int32(9),
@@ -443,6 +446,19 @@ def test_svg_escapes_labels():
     root = ET.fromstring(buf.getvalue())
     texts = [t.text for t in root.iter() if t.tag.endswith("text")]
     assert "a<&>b" in texts
+
+
+def test_svg_bytes_are_pinned():
+    # Every coordinate, number format and element of one chart, as a digest:
+    # two traces, an escaped title and label, a zero, an inf and a NaN.
+    buf = io.StringIO()
+    emit_trace_svg(
+        {"JBTVA": [(0, 120.0), (1, 3.5), (2, 0.0), (3, math.inf), (4, 2e-9)],
+         "a<&>b": [(0, 80.0), (2, math.nan), (4, 1e-3)]},
+        buf, "P1 <&> n=200",
+    )
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "b078f0bb9b197a88c089eae4dd77164a643ffd7e362b11ab32b900dfd9e8a943"
 
 
 def test_svg_empty_trace_rejected():

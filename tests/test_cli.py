@@ -1,4 +1,5 @@
 import re
+import runpy
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -401,6 +402,18 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+def test_module_run_exits_with_mains_code(monkeypatch, capsys):
+    # ``python -m relaxsolve.cli`` hands main's exit code to sys.exit. runpy
+    # warns when the module is already imported, so it is dropped first.
+    monkeypatch.delitem(sys.modules, "relaxsolve.cli")
+    monkeypatch.setattr(sys, "argv", ["relaxsolve", "solve", "--problem", "P1",
+                                      "--variant", "NOPE"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("relaxsolve.cli", run_name="__main__")
+    assert exit_.value.code == 2
+    assert "invalid choice: 'NOPE'" in capsys.readouterr().err
 
 
 def test_import_loads_no_network_modules():

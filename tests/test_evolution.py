@@ -126,6 +126,8 @@ def test_solver_config_validation():
     assert SolverConfig(variant=Variant.JBTVA, max_generations=0).max_generations == 0
     # variant given as plain string is coerced
     assert SolverConfig(variant="MGSBTVA").variant is Variant.MGSBTVA
+    with pytest.raises(ValueError, match="^variant must be a Variant value, got 'nope'$"):
+        SolverConfig("nope")
 
 
 # --------------------------------------------------------- initialization
@@ -308,6 +310,8 @@ def test_adapt_step_magnitude_scale_shrinks_with_t():
 
 def test_stochastic_matrix_rows_sum_to_one():
     assert np.allclose(make_stochastic_matrix(1, np.random.default_rng(0)), [[1.0]])
+    with pytest.raises(ValueError, match="^n_pop must be at least 1$"):
+        make_stochastic_matrix(0, np.random.default_rng(0))
     for n_pop in (2, 5, 8):
         r = make_stochastic_matrix(n_pop, np.random.default_rng(n_pop))
         assert r.shape == (n_pop, n_pop)
@@ -515,6 +519,15 @@ def test_selection_requires_evaluation():
         states=np.zeros((2, 2)), fitness=None, omegas=np.array([0.5, 1.5])
     )
     with pytest.raises(ValueError):
+        select_and_reproduce(pop)
+    with pytest.raises(ValueError, match="^population has not been evaluated$"):
+        pop.best_index()
+
+
+def test_selection_requires_an_even_population():
+    # Selection keeps the better half and doubles it.
+    pop = _evaluated_population(SYS2, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.5, 1.0, 1.5])
+    with pytest.raises(ValueError, match="^population size must be even$"):
         select_and_reproduce(pop)
 
 

@@ -34,6 +34,11 @@ def test_rejects_length_mismatch():
         LinearSystem(np.eye(3), np.ones(2))
 
 
+def test_rejects_two_dimensional_rhs():
+    with pytest.raises(ValueError, match=r"^b must be 1-D, got shape \(2, 1\)$"):
+        LinearSystem(np.eye(2), np.ones((2, 1)))
+
+
 def test_rejects_nonfinite_entries():
     a = np.eye(2)
     b = np.ones(2)

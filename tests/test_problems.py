@@ -270,7 +270,9 @@ def test_parse_error_reports_line_number():
         ("id=custom\nn=5\nseed=0\ndiag=formula:p7-rhs\noffdiag=uniform:0,1\nrhs=const:1", "line 4: unknown formula 'p7-rhs'"),
         ("id=custom\nn=5\nseed=0\ndiag=nonsense:1\noffdiag=uniform:0,1\nrhs=const:1", "unknown rule kind"),
         ("id=custom\nn=5\nseed=0\ndiag=formula:p9\noffdiag=uniform:0,1\nrhs=const:1", "unknown formula"),
-        ("id=custom\nn=5\nseed=0\ndiag=const:0\noffdiag=uniform:0,1\nrhs=const:1", "nonzero"),
+        ("id=custom\nn=5\nseed=0\ndiag=const:0\noffdiag=uniform:0,1\nrhs=const:1", "line 4: diag constant rule needs |value| >= 1e-12, got 0.0"),
+        ("id=custom\nn=5\nseed=0\ndiag=const:1e-13\noffdiag=uniform:0,1\nrhs=const:1", "line 4: diag constant rule needs |value| >= 1e-12, got 1e-13"),
+        ("id=custom\nn=5\nseed=0\ndiag=const:abc\noffdiag=uniform:0,1\nrhs=const:1", "line 4: invalid constant 'abc'"),
         ("id=custom\nn=5\nseed=0\ndiag=uniform:-1,1\noffdiag=uniform:0,1\nrhs=const:1", "never reaches"),
         ("id=custom\nn=5\nseed=0\ndiag=uniform:1e-14,1e-13\noffdiag=uniform:0,1\nrhs=const:1", "never reaches"),
         ("id=custom\nn=5\nseed=0\ndiag=uniform:-1,1.000000001\noffdiag=uniform:0,1\nrhs=const:1", "under the 1%"),
