@@ -1,10 +1,10 @@
-"""One run of the best-performing variant over every canonical problem family.
+"""One MGSBTVA run over every canonical problem family.
 
 Generates each of the ten seeded families at two sizes, runs MGSBTVA once
-per system, and reports the outcome honestly: at the larger size several
+per system, and reports the outcome honestly: at the larger size some
 families carry so much off-diagonal spread relative to their diagonal that no
 relaxation factor makes the underlying sweeps contract, and those runs are
-reported as diverged rather than hidden.
+reported as diverged or capped rather than hidden.
 """
 
 from relaxsolve import (

@@ -67,7 +67,7 @@ __all__ = [
 # step that pulls a loser's relaxation factor toward the winner's; E_Y
 # scales the nonnegative step that pushes the winner's factor away from
 # the loser, toward the interval boundary on its own side. LAM sets how
-# fast both steps decay with the generation counter (it must exceed 10).
+# fast both steps decay with the generation counter.
 E_X = 0.125
 E_Y = 0.03125
 LAM = 50.0
@@ -241,17 +241,15 @@ def init_population(
     return Population(states, fitness, init_relaxation_factors(2))
 
 
-def basic_time_variant(t: int, lam: float) -> float:
-    """Decay factor ``lam * ln(1 + 1/(t + lam))`` for adaptation step sizes.
+def basic_time_variant(t: int) -> float:
+    """Decay factor ``LAM * ln(1 + 1/(t + LAM))`` for adaptation step sizes.
 
     Strictly decreasing in the generation counter ``t``, tending to zero;
-    below 1 already at ``t = 0`` for every ``lam > 10``.
+    ``LAM > 10`` keeps it below 1 already at ``t = 0``.
     """
-    if not lam > 10.0:
-        raise ValueError("lam must be greater than 10")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return lam * math.log1p(1.0 / (t + lam))
+    return LAM * math.log1p(1.0 / (t + LAM))
 
 
 def adapt_pair_from_steps(
@@ -316,7 +314,7 @@ def adapt_pair(
     size-2 draw, which yields the same values as two scalar draws.
     """
     g_pull, g_push = rng.normal(0.0, NOISE_SD, size=2).tolist()
-    t_omega = basic_time_variant(t, LAM)
+    t_omega = basic_time_variant(t)
     p_pull = E_X * g_pull * t_omega
     p_push = E_Y * abs(g_push) * t_omega
     return adapt_pair_from_steps(omega_x, omega_y, err_x, err_y, p_pull, p_push)

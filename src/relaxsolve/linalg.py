@@ -52,8 +52,8 @@ class LinearSystem:
         if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
                 and a.flags.c_contiguous and not a.flags.writeable):
             a = np.array(a, dtype=np.float64, order="C")
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"a must be square 2-D, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+            raise ValueError(f"a must be square 2-D with n >= 1, got shape {a.shape}")
         b = np.array(self.b, dtype=np.float64)
         if b.ndim != 1:
             raise ValueError(f"b must be 1-D, got shape {b.shape}")

@@ -247,7 +247,7 @@ def test_criterion_8_invariant_suite():
     checks["omega-containment"] = contained
 
     # decay factor strictly decreasing over the full generation range
-    vals = [basic_time_variant(t, 50.0) for t in range(0, 10001)]
+    vals = [basic_time_variant(t) for t in range(0, 10001)]
     checks["decay-monotone"] = all(b < a for a, b in zip(vals, vals[1:]))
 
     # equal errors adapt nothing

@@ -27,6 +27,8 @@ def test_rejects_non_square():
         LinearSystem(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
         LinearSystem(np.ones(4), np.ones(2))
+    with pytest.raises(ValueError, match=r"^a must be square 2-D"):
+        LinearSystem(np.zeros((0, 0)), np.zeros(0))
 
 
 def test_rejects_length_mismatch():
