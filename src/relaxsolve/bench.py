@@ -14,12 +14,13 @@ import hashlib
 import html
 import math
 from dataclasses import dataclass
+from statistics import median
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .evolution import DIVERGENCE_BOUND, RunResult, SolverConfig, Variant, run_solver
-from .linalg import LinearSystem, checked_int
+from .linalg import U64_LIMIT, LinearSystem, checked_int
 from .problems import (
     DEFAULT_N,
     FAMILY_IDS,
@@ -121,19 +122,17 @@ class BenchPlan:
                 raise ValueError(f"variants has unknown variant {v!r}")
         object.__setattr__(self, "variants", tuple(map(Variant, variants)))
         if not self.problems:
-            raise ValueError("plan needs at least one problem")
+            raise ValueError("problems must name at least one problem")
         if not self.variants:
-            raise ValueError("plan needs at least one variant")
+            raise ValueError("variants must name at least one variant")
         ids = [spec.id for spec in self.problems]
         names = [v.value for v in self.variants]
         for field, what, seen in (("problems", "id", ids), ("variants", "variant", names)):
             for k, name in enumerate(seen):
                 if name in seen[:k]:
                     raise ValueError(f"{field} has repeated {what} {name!r}")
-        if checked_int("repetitions", self.repetitions) < 1:
-            raise ValueError("repetitions must be a positive integer")
-        if not 0 <= checked_int("base_seed", self.base_seed) < 2**64:
-            raise ValueError("base_seed must be an unsigned 64-bit integer")
+        checked_int("repetitions", self.repetitions, 1)
+        checked_int("base_seed", self.base_seed, 0, U64_LIMIT)
         SolverConfig(
             self.variants[0],
             threshold=self.threshold,
@@ -159,11 +158,9 @@ class BenchRow:
     problem_hash: int
 
     def __post_init__(self):
-        for name in ("seed", "problem_hash"):
-            if not 0 <= checked_int(name, getattr(self, name)) < 2**64:
-                raise ValueError(f"{name} must be an unsigned 64-bit integer")
-        if checked_int("generations", self.generations) < 0:
-            raise ValueError("generations must be a nonnegative integer")
+        checked_int("seed", self.seed, 0, U64_LIMIT)
+        checked_int("problem_hash", self.problem_hash, 0, U64_LIMIT)
+        checked_int("generations", self.generations, 0)
         if self.problem_id not in FAMILY_IDS + ("custom",):
             raise ValueError(f"problem_id must be a family id or custom, got {self.problem_id!r}")
         if self.variant not in _VARIANT_NAMES:
@@ -302,10 +299,9 @@ def summarize(rows: Sequence[BenchRow]) -> list[Summary]:
     for (pid, variant), grp in groups.items():
         done = [r for r in grp if r.converged]
         diverged = sum(not (r.converged or r.final_residual <= DIVERGENCE_BOUND) for r in grp)
-        gens, ms = sorted(r.generations for r in done), sorted(r.elapsed_ms for r in done)
-        mid = (len(done) - 1) // 2, len(done) // 2  # one middle entry, or two to average
-        medians = ((gens[mid[0]] + gens[mid[1]]) / 2, (gens[0], gens[-1]),
-                   (ms[mid[0]] + ms[mid[1]]) / 2) if done else (None,) * 3
+        gens = [r.generations for r in done]
+        medians = (float(median(gens)), (min(gens), max(gens)),
+                   median([r.elapsed_ms for r in done])) if done else (None,) * 3
         out.append(Summary(pid, variant, len(grp), len(done),
                            len(grp) - len(done) - diverged, diverged, *medians))
     return out

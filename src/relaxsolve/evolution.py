@@ -43,7 +43,7 @@ from .iteration import (
     jacobi_sr_step,
     upper_product,
 )
-from .linalg import LinearSystem, checked_int, checked_real, residual_norm, vector_norm
+from .linalg import U64_LIMIT, LinearSystem, checked_int, checked_real, residual_norm, vector_norm
 
 __all__ = [
     "OMEGA_MARGIN",
@@ -137,21 +137,13 @@ class SolverConfig:
         except ValueError:
             raise ValueError(f"variant must be a Variant value, got {self.variant!r}") from None
         # An infinite threshold would count every run as converged.
-        if not 0.0 < checked_real("threshold", self.threshold) < math.inf:
-            raise ValueError(
-                f"threshold must be positive and finite, got {self.threshold!r}"
-            )
-        if checked_int("max_generations", self.max_generations) < 0:
-            raise ValueError("max_generations must be a nonnegative integer")
-        if not 0 <= checked_int("seed", self.seed) < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        checked_real("threshold", self.threshold, 0.0, math.inf)
+        checked_int("max_generations", self.max_generations, 0)
+        checked_int("seed", self.seed, 0, U64_LIMIT)
         # Neither relaxed sweep converges for a factor outside (0, 2): SOR
         # by Kahan's bound, JOR because the eigenvalues of its iteration
         # matrix I - w D^-1 A average 1 - w.
-        if not OMEGA_LO < checked_real("fixed_omega", self.fixed_omega) < OMEGA_HI:
-            raise ValueError(
-                f"fixed_omega must lie in the open interval (0, 2), got {self.fixed_omega!r}"
-            )
+        checked_real("fixed_omega", self.fixed_omega, OMEGA_LO, OMEGA_HI)
 
 
 class Population(NamedTuple):

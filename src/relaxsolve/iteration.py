@@ -17,7 +17,7 @@ whose diagonal it overwrites in place.
 
 from __future__ import annotations
 
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -27,15 +27,12 @@ from .linalg import LinearSystem, check_state
 
 __all__ = [
     "IterationOperator",
-    "Method",
     "explicit_operator",
     "gauss_seidel_sr_step",
     "gauss_seidel_work",
     "jacobi_sr_step",
     "upper_product",
 ]
-
-Method = Literal["jacobi", "gauss_seidel"]
 
 
 class IterationOperator(NamedTuple):
@@ -116,7 +113,7 @@ def gauss_seidel_sr_step(
 
 
 def explicit_operator(
-    sys: LinearSystem, omega: float, method: Method
+    sys: LinearSystem, omega: float, method: str
 ) -> IterationOperator:
     """Dense ``(h, v)`` with ``step(x) == h @ x + v`` for the given method.
 

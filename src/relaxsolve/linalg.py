@@ -26,6 +26,9 @@ __all__ = [
 # row-permuted.
 DIAG_FLOOR = 1e-12
 
+# One past the largest unsigned 64-bit integer: the bound of seeds and hashes.
+U64_LIMIT = 2**64
+
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -86,21 +89,26 @@ class LinearSystem:
         return d
 
 
-def checked_real(name: str, value):
-    """``value`` if a float-range real and no bool, else a ValueError starting with ``name``."""
+# Field checks: each returns ``value`` or raises a ValueError starting with ``name``.
+def checked_real(name: str, value, lo: float | None = None, hi: float | None = None):
+    """``value`` if a float-range real, not a bool, in ``(lo, hi)`` when they are given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         float(value)
     except OverflowError:
         raise ValueError(f"{name} must be a real number within float range") from None
+    if lo is not None and not lo < value < hi:
+        raise ValueError(f"{name} must lie in the open interval ({lo:g}, {hi:g}), got {value!r}")
     return value
 
 
-def checked_int(name: str, value):
-    """``value``; a ValueError starting with ``name`` unless it is an integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def checked_int(name: str, value, lo: int, hi: int | None = None):
+    """``value`` if an integer, not a bool, in ``[lo, hi)``; ``hi=None`` is no upper bound."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < lo or (hi is not None and value >= hi)):
+        bound = f">= {lo}" if hi is None else f"from {lo} to {hi - 1}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return value
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .linalg import DIAG_FLOOR, LinearSystem, checked_int, checked_real
+from .linalg import DIAG_FLOOR, U64_LIMIT, LinearSystem, checked_int, checked_real
 
 __all__ = [
     "ConstRule",
@@ -181,10 +181,8 @@ class ProblemSpec:
                 f"id must be custom or one of {FAMILY_IDS[0]}..{FAMILY_IDS[-1]}, "
                 f"got unknown id {self.id!r}"
             )
-        if not 1 <= checked_int("n", self.n) < N_LIMIT:
-            raise ValueError(f"n must be a positive integer below {N_LIMIT}")
-        if not 0 <= checked_int("seed", self.seed) < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        checked_int("n", self.n, 1, N_LIMIT)
+        checked_int("seed", self.seed, 0, U64_LIMIT)
         for k, key in enumerate(RULE_KEYS):
             rule = getattr(self, f"{key}_rule")
             if fixed is not None and rule is None:
@@ -202,18 +200,12 @@ class ProblemSpec:
                 f"diag constant rule needs |value| >= {DIAG_FLOOR!r}, got {diag.value!r}"
             )
         if isinstance(diag, UniformRule):
-            lo, hi = diag.lo, diag.hi
             min_abs = _diag_min_abs(diag)
             share = _share_reaching(diag, min_abs)
-            if share == 0.0:
-                raise ValueError(
-                    f"diag interval ({lo!r}, {hi!r}) never reaches "
-                    f"the required magnitude {min_abs!r}"
-                )
             if share < _DIAG_MIN_SHARE:
                 raise ValueError(
-                    f"diag interval ({lo!r}, {hi!r}) reaches the required "
-                    f"magnitude {min_abs!r} on only {share:.2g} of its width, "
+                    f"diag interval ({diag.lo!r}, {diag.hi!r}) reaches the required "
+                    f"magnitude {min_abs!r} on {share:.2g} of its width, "
                     f"under the {_DIAG_MIN_SHARE:.0%} the sampler needs"
                 )
 

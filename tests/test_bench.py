@@ -182,9 +182,9 @@ def test_run_benchmark_holds_one_instance_at_a_time():
 
 
 def test_bench_plan_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^problems must name at least one problem$"):
         BenchPlan(problems=(), variants=(Variant.JBTVA,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^variants must name at least one variant$"):
         BenchPlan(problems=(_small_problem(),), variants=())
     # Each bad value is named by its field; SolverConfig's bounds on
     # threshold and max_generations apply to a plan.
@@ -523,11 +523,11 @@ def test_parse_plan_inline_custom_problem():
         ("problems=P1\nseed=5", "line 2: unknown key 'seed'"),
         ("id=P1\nseed=5", "line 1: unknown key 'id'"),
         ("problems=P1\ndiag=const:1", "line 2: diag of P1 is fixed to uniform:100,200"),
-        ("problems=P1\nn=0", "line 2: n must be a positive integer"),
-        ("problems=P1\nrepetitions=0", "positive integer"),
+        ("problems=P1\nn=0", "line 2: n must be an integer from 1 to 1073741823, got 0"),
+        ("problems=P1\nrepetitions=0", "line 2: repetitions must be an integer >= 1, got 0"),
         ("problems=P1\nthreshold=zero", "invalid real"),
-        ("problems=P1\nthreshold=-1e-7", "must be positive"),
-        ("problems=P1\nthreshold=inf", "line 2: threshold must be positive and finite"),
+        ("problems=P1\nthreshold=-1e-7", "line 2: threshold must lie in the open interval (0, inf), got -1e-07"),
+        ("problems=P1\nthreshold=inf", "line 2: threshold must lie in the open interval (0, inf), got inf"),
     ],
 )
 def test_parse_plan_rejections(text, fragment):

@@ -5,7 +5,11 @@ from hypothesis.extra.numpy import arrays
 
 from relaxsolve import (
     FAMILY_IDS,
+    BenchPlan,
+    BenchRow,
     LinearSystem,
+    ProblemSpec,
+    SolverConfig,
     family_spec,
     generate_problem,
     residual_norm,
@@ -150,3 +154,49 @@ def test_vector_norm_equals_numpy_norm_on_long_vectors():
     for n in range(0, 600, 7):
         v = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
         assert vector_norm(v) == np.linalg.norm(v)
+
+
+# Every bounded integer field: a constructor that sets it, and its range
+# [lo, hi), hi None for no upper bound.
+_P1 = family_spec("P1", 5, 0)
+_ROW = {"problem_id": "P1", "variant": "JBTVA", "seed": 5, "generations": 3,
+        "elapsed_ms": 1.0, "final_residual": 2.0, "converged": True, "problem_hash": 0xFF}
+_INT_FIELDS = {
+    "SolverConfig.max_generations": (lambda v: SolverConfig("MJBTVA", max_generations=v), 0, None),
+    "SolverConfig.seed": (lambda v: SolverConfig("MJBTVA", seed=v), 0, 2**64),
+    "ProblemSpec.n": (lambda v: ProblemSpec("P1", v, 0), 1, 2**30),
+    "ProblemSpec.seed": (lambda v: ProblemSpec("P1", 5, v), 0, 2**64),
+    "BenchPlan.repetitions": (lambda v: BenchPlan((_P1,), repetitions=v), 1, None),
+    "BenchPlan.base_seed": (lambda v: BenchPlan((_P1,), base_seed=v), 0, 2**64),
+    "BenchRow.seed": (lambda v: BenchRow(**{**_ROW, "seed": v}), 0, 2**64),
+    "BenchRow.problem_hash": (lambda v: BenchRow(**{**_ROW, "problem_hash": v}), 0, 2**64),
+    "BenchRow.generations": (lambda v: BenchRow(**{**_ROW, "generations": v}), 0, None),
+}
+# Every bounded real field: a constructor, its open interval (lo, hi), and a value inside.
+_REAL_FIELDS = {
+    "SolverConfig.threshold": (lambda v: SolverConfig("MJBTVA", threshold=v), 0.0, np.inf, 1e-7),
+    "SolverConfig.fixed_omega": (lambda v: SolverConfig("MJBTVA", fixed_omega=v), 0.0, 2.0, 1.0),
+}
+
+
+def _refused(key, build, value):
+    with pytest.raises(ValueError, match=f"^{key.partition('.')[2]} must") as err:
+        build(value)
+    assert str(err.value).endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("key", _INT_FIELDS)
+def test_integer_field_bounds(key):
+    build, lo, hi = _INT_FIELDS[key]
+    build(lo)
+    build(2**64 if hi is None else hi - 1)
+    for bad in [lo - 1, True, 1.0] + ([] if hi is None else [hi]):
+        _refused(key, build, bad)
+
+
+@pytest.mark.parametrize("key", _REAL_FIELDS)
+def test_real_field_bounds(key):
+    build, lo, hi, inside = _REAL_FIELDS[key]
+    build(inside)
+    for bad in (lo, hi, np.nan, True):
+        _refused(key, build, bad)

@@ -273,15 +273,15 @@ def test_parse_error_reports_line_number():
         ("id=custom\nn=5\nseed=0\ndiag=const:0\noffdiag=uniform:0,1\nrhs=const:1", "line 4: diag constant rule needs |value| >= 1e-12, got 0.0"),
         ("id=custom\nn=5\nseed=0\ndiag=const:1e-13\noffdiag=uniform:0,1\nrhs=const:1", "line 4: diag constant rule needs |value| >= 1e-12, got 1e-13"),
         ("id=custom\nn=5\nseed=0\ndiag=const:abc\noffdiag=uniform:0,1\nrhs=const:1", "line 4: invalid constant 'abc'"),
-        ("id=custom\nn=5\nseed=0\ndiag=uniform:-1,1\noffdiag=uniform:0,1\nrhs=const:1", "never reaches"),
-        ("id=custom\nn=5\nseed=0\ndiag=uniform:1e-14,1e-13\noffdiag=uniform:0,1\nrhs=const:1", "never reaches"),
+        ("id=custom\nn=5\nseed=0\ndiag=uniform:-1,1\noffdiag=uniform:0,1\nrhs=const:1", "line 4: diag interval (-1.0, 1.0) reaches the required magnitude 1.0 on 0 of its width, under the 1%"),
+        ("id=custom\nn=5\nseed=0\ndiag=uniform:1e-14,1e-13\noffdiag=uniform:0,1\nrhs=const:1", "line 4: diag interval (1e-14, 1e-13) reaches the required magnitude 1e-12 on 0 of its width, under the 1%"),
         ("id=custom\nn=5\nseed=0\ndiag=uniform:-1,1.000000001\noffdiag=uniform:0,1\nrhs=const:1", "under the 1%"),
         ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=uniform:-1e308,1e308\nrhs=const:1", "finite width"),
         ("id=custom\nn=5\nseed=0\ndiag=const:1e309\noffdiag=uniform:0,1\nrhs=const:1", "finite value"),
         ("id=custom\nn=5\nseed=0\ndiag=const:1\noffdiag=const:nan\nrhs=const:1", "finite value"),
-        ("id=P1\nn=0\nseed=0", "positive integer"),
-        ("id=P1\nn=1073741824\nseed=0", "positive integer below 1073741824"),
-        ("id=P1\nn=5\nseed=-1", "unsigned 64-bit"),
+        ("id=P1\nn=0\nseed=0", "line 2: n must be an integer from 1 to 1073741823, got 0"),
+        ("id=P1\nn=1073741824\nseed=0", "line 2: n must be an integer from 1 to 1073741823, got 1073741824"),
+        ("id=P1\nn=5\nseed=-1", "line 3: seed must be an integer from 0 to 18446744073709551615, got -1"),
         ("id=P1\nn=5\nseed=0\nrhs=", "empty value"),
         ("just some words", "expected key=value"),
     ],
