@@ -25,12 +25,13 @@ from .problems import (
     DEFAULT_N,
     FAMILY_IDS,
     RULE_KEYS,
+    SPEC_KINDS,
     ProblemSpec,
     SpecParseError,
     build_spec,
-    convert,
     field_error,
     generate_problem,
+    integer,
     scan_kv,
 )
 
@@ -400,10 +401,15 @@ def emit_trace_svg(
     sink.write("\n".join(out) + "\n</svg>\n")
 
 
-# Plan values the parser only converts; BenchPlan checks their bounds.
-_PLAN_VALUES = (("repetitions", int), ("base_seed", int),
-                ("threshold", float), ("max_generations", int))
-_PLAN_KEYS = ("problems", "variants", "n") + RULE_KEYS + tuple(key for key, _ in _PLAN_VALUES)
+def _comma_list(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",")]
+
+
+# Each plan key's converter: comma lists, the spec's n and rules, and run controls.
+_PLAN_KINDS = {"problems": _comma_list, "variants": _comma_list,
+               **{key: SPEC_KINDS[key] for key in ("n",) + RULE_KEYS},
+               "repetitions": integer, "base_seed": integer,
+               "threshold": float, "max_generations": integer}
 
 
 def parse_bench_plan(text: str) -> BenchPlan:
@@ -417,27 +423,17 @@ def parse_bench_plan(text: str) -> BenchPlan:
     go to ``BenchPlan`` only when given, so an omitted one takes its
     default there: ``variants`` (comma list), ``repetitions``,
     ``base_seed``, ``threshold`` and ``max_generations``. ``BenchPlan``
-    judges their values, and an error it raises is reported at the line of
-    the key it names.
+    judges them once every problem is built, and its error is reported
+    at the line of the key it names.
     """
-    fields, lines = scan_kv(text, _PLAN_KEYS)
+    fields, lines = scan_kv(text, _PLAN_KINDS)
     if "problems" not in fields:
         raise SpecParseError("missing required key 'problems'")
-    ids = [pid.strip() for pid in fields["problems"].split(",")]
+    ids = fields.pop("problems")
     lines["id"] = lines["problems"]
     # The spec seed is a placeholder: run_benchmark seeds every instance.
-    specs = [
-        build_spec({"n": str(DEFAULT_N), **fields, "id": pid, "seed": "0"}, lines)
-        for pid in ids
-    ]
-
-    values = {}
-    if "variants" in fields:
-        values["variants"] = [name.strip() for name in fields["variants"].split(",")]
-    for key, kind in _PLAN_VALUES:
-        if key in fields:
-            values[key] = convert(fields, lines, key, kind)
+    specs = [build_spec({"n": DEFAULT_N, **fields, "id": pid, "seed": 0}, lines) for pid in ids]
     try:
-        return BenchPlan(specs, **values)
+        return BenchPlan(specs, **{k: v for k, v in fields.items() if k not in SPEC_KINDS})
     except ValueError as exc:
         raise field_error(exc, lines) from None

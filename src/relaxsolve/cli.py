@@ -28,6 +28,7 @@ from .problems import (
     SpecParseError,
     family_spec,
     generate_problem,
+    integer,
     parse_problem_spec,
     render_problem_spec,
 )
@@ -72,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--seed",
-        type=int,
+        type=integer,
         default=SolverConfig.seed,
         help="seed for the solver run (and the instance, for family ids)",
     )
     solve.add_argument(
         "--n",
-        type=int,
+        type=integer,
         default=DEFAULT_N,
         help="dimension for family ids (ignored for spec files; default %(default)s)",
     )
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--max-gens",
-        type=int,
+        type=integer,
         default=SolverConfig.max_generations,
         help="generation cap (default %(default)s)",
     )
@@ -131,10 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--problem", required=True, choices=list(FAMILY_IDS), help="family id"
     )
     generate.add_argument(
-        "--n", type=int, default=DEFAULT_N, help="dimension (default %(default)s)"
+        "--n", type=integer, default=DEFAULT_N, help="dimension (default %(default)s)"
     )
     generate.add_argument(
-        "--seed", type=int, default=SolverConfig.seed,
+        "--seed", type=integer, default=SolverConfig.seed,
         help="generation seed (default %(default)s)"
     )
     generate.add_argument("--out", required=True, help="output file path")

@@ -37,10 +37,10 @@ class LinearSystem:
     Parameters
     ----------
     a : array_like
-        Square coefficient matrix with finite entries and every diagonal
+        Square real coefficient matrix with finite entries and every diagonal
         entry at least ``DIAG_FLOOR`` in magnitude.
     b : array_like
-        Right-hand side vector of length n, finite entries.
+        Real right-hand side vector of length n, finite entries.
 
     Both arrays are copied and made read-only, ``a`` row-major (C order)
     so that its rows are contiguous for hashing and the BLAS kernels. An
@@ -51,6 +51,9 @@ class LinearSystem:
     b: np.ndarray
 
     def __post_init__(self):
+        for name, array in (("a", self.a), ("b", self.b)):
+            if np.iscomplexobj(array):
+                raise ValueError(f"{name} must be real, got complex entries")
         a = self.a
         if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
                 and a.flags.c_contiguous and not a.flags.writeable):

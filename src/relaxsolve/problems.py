@@ -267,13 +267,17 @@ class SpecParseError(ValueError):
         super().__init__(message)
 
 
-SPEC_KEYS = ("id", "n", "seed") + RULE_KEYS
-
-
 def field_error(exc: ValueError, lines: dict[str, int | None]) -> SpecParseError:
     """``exc`` as a SpecParseError at the line of the key its message starts with."""
     message = str(exc)
     return SpecParseError(message, lines.get(message.partition(" ")[0]))
+
+
+def integer(text: str) -> int:
+    """``text`` as an int, refused unless ``str`` writes that int as ``text``."""
+    if str(value := int(text)) != text:
+        raise ValueError(f"{text!r} is written {str(value)!r}")
+    return value
 
 
 def _parse_rule(value: str) -> Rule:
@@ -299,17 +303,22 @@ def _parse_rule(value: str) -> Rule:
     )
 
 
-def scan_kv(
-    text: str, allowed_keys: tuple[str, ...]
-) -> tuple[dict[str, str], dict[str, int | None]]:
-    """Scan ``key=value`` lines into ``(fields, lines)``.
+# Each spec key's converter, in ProblemSpec's field order.
+SPEC_KINDS = {"id": str, "n": integer, "seed": integer, **dict.fromkeys(RULE_KEYS, _parse_rule)}
 
-    Shared by the problem-spec and benchmark-plan parsers. ``#`` starts
-    a comment; blank lines are skipped. Keys outside ``allowed_keys``,
-    repeated keys, and lines without a key or a value are errors;
-    ``lines`` maps each key to its 1-based line number.
+
+def scan_kv(text: str, kinds: dict[str, Callable]) -> tuple[dict, dict[str, int | None]]:
+    """Scan ``key=value`` lines into ``(fields, lines)``, converting each value.
+
+    Shared by the problem-spec and benchmark-plan parsers: ``kinds`` maps
+    each allowed key to its value's converter. ``#`` starts a comment;
+    blank lines are skipped. A line without a key or a value, an unknown
+    or repeated key, or a value its converter refuses is an error at its
+    line, so errors come in line order. A refused ``integer`` or ``float``
+    reads ``invalid integer`` (or ``real``) ``for key ...``; any other
+    converter's message is kept. ``lines`` maps each key to its line.
     """
-    fields: dict[str, str] = {}
+    fields: dict[str, object] = {}
     lines: dict[str, int | None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -321,51 +330,32 @@ def scan_kv(
             raise SpecParseError(f"expected key=value, got {raw.strip()!r}", lineno)
         if not value:
             raise SpecParseError(f"empty value for key {key!r}", lineno)
-        if key not in allowed_keys:
+        if key not in kinds:
             raise SpecParseError(f"unknown key {key!r}", lineno)
         if key in fields:
             raise SpecParseError(f"duplicate key {key!r}", lineno)
-        fields[key] = value
+        try:
+            fields[key] = kinds[key](value)
+        except ValueError as exc:
+            word = {integer: "integer", float: "real"}.get(kinds[key])
+            message = f"invalid {word} for key {key!r}: {value!r}" if word else str(exc)
+            raise SpecParseError(message, lineno) from None
         lines[key] = lineno
     return fields, lines
 
 
-def convert(
-    fields: dict[str, str], lines: dict[str, int | None], key: str, kind: type = int
-) -> int | float:
-    """``fields[key]`` as ``kind`` (``int`` or ``float``); its range is not checked."""
-    try:
-        return kind(fields[key])
-    except ValueError:
-        word = "integer" if kind is int else "real"
-        raise SpecParseError(
-            f"invalid {word} for key {key!r}: {fields[key]!r}", lines.get(key)
-        ) from None
+def build_spec(fields: dict, lines: dict[str, int | None]) -> ProblemSpec:
+    """A ProblemSpec from ``scan_kv``'s fields; keys outside ``SPEC_KINDS`` are ignored.
 
-
-def build_spec(fields: dict[str, str], lines: dict[str, int | None]) -> ProblemSpec:
-    """Assemble a ProblemSpec from already-scanned key/value fields.
-
-    Shared by the problem-spec and benchmark-plan parsers; keys outside
-    ``SPEC_KEYS`` are ignored. Values of present keys are converted
-    first, so a malformed value is reported at its line even when other
-    keys are missing; a rule's error, whether from its text or from its
-    class, is reported at its key's line. ``ProblemSpec`` then judges the
-    values, and its error is reported at the line of the key it names.
+    A missing ``id``, ``n`` or ``seed`` is an error; then ``ProblemSpec``
+    judges the values, and its error is reported at the line of the key
+    it names.
     """
-    n = convert(fields, lines, "n") if "n" in fields else None
-    seed = convert(fields, lines, "seed") if "seed" in fields else None
-    rules = []
-    for key in RULE_KEYS:
-        try:
-            rules.append(_parse_rule(fields[key]) if key in fields else None)
-        except ValueError as exc:
-            raise SpecParseError(str(exc), lines.get(key)) from None
     for req in ("id", "n", "seed"):
         if req not in fields:
             raise SpecParseError(f"missing required key {req!r}")
     try:
-        return ProblemSpec(fields["id"], n, seed, *rules)
+        return ProblemSpec(*map(fields.get, SPEC_KINDS))
     except ValueError as exc:
         raise field_error(exc, lines) from None
 
@@ -379,7 +369,7 @@ def parse_problem_spec(text: str) -> ProblemSpec:
     lines are skipped. Errors carry the offending 1-based line number
     where one applies.
     """
-    return build_spec(*scan_kv(text, SPEC_KEYS))
+    return build_spec(*scan_kv(text, SPEC_KINDS))
 
 
 def render_problem_spec(spec: ProblemSpec) -> str:

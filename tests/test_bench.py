@@ -528,6 +528,13 @@ def test_parse_plan_inline_custom_problem():
         ("problems=P1\nthreshold=zero", "invalid real"),
         ("problems=P1\nthreshold=-1e-7", "line 2: threshold must lie in the open interval (0, inf), got -1e-07"),
         ("problems=P1\nthreshold=inf", "line 2: threshold must lie in the open interval (0, inf), got inf"),
+        ("problems=P1\nn=007", "line 2: invalid integer for key 'n': '007'"),
+        ("problems=P1\nrepetitions=+5", "line 2: invalid integer for key 'repetitions': '+5'"),
+        ("problems=P1\nmax_generations=5_0", "line 2: invalid integer for key 'max_generations': '5_0'"),
+        ("problems=P1\nbase_seed=\u0663", "line 2: invalid integer for key 'base_seed': '\u0663'"),
+        ("problems=P1\nbase_seed=-0", "line 2: invalid integer for key 'base_seed': '-0'"),
+        ("n=0\nproblems=P1\nrepetitions=abc", "line 3: invalid integer for key 'repetitions': 'abc'"),
+        ("problems=P1\nthreshold=x\ndiag=nonsense:1", "line 2: invalid real for key 'threshold': 'x'"),
     ],
 )
 def test_parse_plan_rejections(text, fragment):

@@ -178,6 +178,12 @@ def test_bad_seed_value_exits_2(capsys):
     assert main(["solve", "--problem", "P1", "--variant", "JBTVA", "--seed", "-4"]) == 2
 
 
+def test_integer_option_in_another_spelling_exits_2(capsys):
+    # An integer option, like an integer in a file, takes only str()'s spelling.
+    assert main(["solve", "--problem", "P1", "--variant", "JBTVA", "--n", "007"]) == 2
+    assert "argument --n: invalid integer value: '007'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("omega", ["inf", "nan", "0", "-1", "2"])
 def test_relaxation_factor_outside_open_interval_exits_2(capsys, omega):
     argv = ["solve", "--problem", "P1", "--n", "20", "--variant", "FIXED_GS_SR"]

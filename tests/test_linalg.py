@@ -58,6 +58,14 @@ def test_rejects_nonfinite_entries():
         LinearSystem(a, bad_b)
 
 
+def test_rejects_complex_arrays():
+    # Casting to float64 would drop the imaginary part with only a warning.
+    with pytest.raises(ValueError, match="^a must be real, got complex entries$"):
+        LinearSystem(np.eye(2) * (1 + 1j), [1, 1])
+    with pytest.raises(ValueError, match="^b must be real, got complex entries$"):
+        LinearSystem(np.eye(2), [1, 1j])
+
+
 def test_rejects_zero_diagonal():
     a = np.array([[1.0, 2.0], [3.0, 0.0]])
     with pytest.raises(ValueError):

@@ -283,6 +283,12 @@ def test_parse_error_reports_line_number():
         ("id=P1\nn=1073741824\nseed=0", "line 2: n must be an integer from 1 to 1073741823, got 1073741824"),
         ("id=P1\nn=5\nseed=-1", "line 3: seed must be an integer from 0 to 18446744073709551615, got -1"),
         ("id=P1\nn=5\nseed=0\nrhs=", "empty value"),
+        ("id=P1\nn=007\nseed=0", "line 2: invalid integer for key 'n': '007'"),
+        ("id=P1\nn=+5\nseed=0", "line 2: invalid integer for key 'n': '+5'"),
+        ("id=P1\nn=5_0\nseed=0", "line 2: invalid integer for key 'n': '5_0'"),
+        ("id=P1\nn=5\nseed=\u0663", "line 3: invalid integer for key 'seed': '\u0663'"),
+        ("id=P1\nn=5\nseed=-0", "line 3: invalid integer for key 'seed': '-0'"),
+        ("n=abc\nid=P1\nseed=0\ncolor=red", "line 1: invalid integer for key 'n': 'abc'"),
         ("just some words", "expected key=value"),
     ],
 )
