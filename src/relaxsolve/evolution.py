@@ -149,13 +149,14 @@ class SolverConfig:
 class Population(NamedTuple):
     """N population slots: states, their fitnesses, slot-resident omegas.
 
-    An immutable ``NamedTuple``, which builds in half a dataclass's time.
-    ``fitness`` is None while the states have been changed but not yet
-    re-evaluated. Relaxation factors belong to slots, not to individuals:
-    selection copies states around but never moves omegas. Row i of
-    ``products`` is the product slot i's next sweep reuses, ``A x_i``
-    (Jacobi) or ``U x_i`` (Gauss-Seidel); it is None until a sweep has
-    computed it, except at a fixed start, where it is exactly 0.
+    A ``NamedTuple``, which builds in half a dataclass's time: its fields
+    stay bound, but its arrays are mutable. ``run_solver`` writes adapted
+    omegas and refreshed products into them in place; each stage hands its
+    input's ``omegas`` array to its output. ``fitness`` is None while the
+    states are not yet re-evaluated. Omegas belong to slots: selection
+    moves states, never omegas. Row i of ``products`` is the product slot
+    i's next sweep reuses, ``A x_i`` (Jacobi) or ``U x_i`` (Gauss-Seidel);
+    None until a sweep computes it, except at a fixed start (exactly 0).
     """
 
     states: np.ndarray
@@ -346,7 +347,7 @@ def mutate_and_evaluate(
     pop: Population,
     sys: LinearSystem,
     variant: Variant,
-    work: np.ndarray | None = None,
+    work: np.ndarray | None,
     shared: bool = False,
 ) -> Population:
     """One relaxed sweep per slot with its own omega, then re-evaluate.
@@ -358,8 +359,8 @@ def mutate_and_evaluate(
     rounding) ``A x' = A x + w A d`` for slot 0's ``d = (b - A x) / D``,
     one product for all. A Gauss-Seidel slot carries ``U x'`` and derives
     its fitness as ``||((1-w)/w) D (x - x') + (U x' - U x)||`` (w in (0, 2)).
-    ``work`` is the run's ``gauss_seidel_work`` copy of A; a Gauss-Seidel
-    call without one makes its own. Norms are ``linalg.vector_norm``,
+    ``work`` is the run's ``gauss_seidel_work`` copy of A for a Gauss-Seidel
+    population, None for a Jacobi one. Norms are ``linalg.vector_norm``,
     bit for bit ``np.linalg.norm``. Non-finite states propagate as-is,
     without warnings; the run loop's divergence check deals with them.
     """
@@ -382,7 +383,6 @@ def _sweep_and_evaluate(pop, sys, jacobi, work, shared):
             products = np.array([np.dot(sys.a, x) for x in states])
         fitness = np.array([vector_norm(r) for r in products - sys.b])
         return Population(states, fitness, pop.omegas, products)
-    work = gauss_seidel_work(sys) if work is None else work
     rows = []
     for x, w, ux in slots:
         ux = upper_product(work, x) if ux is None else ux
@@ -425,6 +425,8 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     only) followed by two Gaussians for the adapted pair. Fixed variants draw
     nothing. Identical configurations produce identical traces.
     """
+    if not isinstance(sys, LinearSystem):
+        raise ValueError("sys must be a LinearSystem")
     if not isinstance(cfg, SolverConfig):
         raise ValueError("cfg must be a SolverConfig")
     variant = cfg.variant

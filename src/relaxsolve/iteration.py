@@ -128,13 +128,12 @@ def explicit_operator(
     eye = np.eye(n)
     lower = np.tril(sys.a, -1)
     upper = np.triu(sys.a, 1)
+    v = omega * sys.b / sys.diag
     if method == "jacobi":
         h = (1.0 - omega) * eye - omega * (lower + upper) / d
-        v = omega * sys.b / sys.diag
     elif method == "gauss_seidel":
         m = eye + omega * lower / d
         h = (1.0 - omega) * eye - omega * upper / d
-        v = omega * sys.b / sys.diag
         h = solve_triangular(m, h, lower=True, unit_diagonal=True)
         v = solve_triangular(m, v, lower=True, unit_diagonal=True)
     else:

@@ -376,7 +376,5 @@ def render_problem_spec(spec: ProblemSpec) -> str:
     """Serialize a spec back to the text format ``parse_problem_spec`` reads."""
     out = [f"id={spec.id}", f"n={spec.n}", f"seed={spec.seed}"]
     if spec.id == "custom":
-        out.append(f"diag={spec.diag_rule}")
-        out.append(f"offdiag={spec.offdiag_rule}")
-        out.append(f"rhs={spec.rhs_rule}")
+        out += [f"{key}={getattr(spec, f'{key}_rule')}" for key in RULE_KEYS]
     return "\n".join(out) + "\n"

@@ -174,6 +174,26 @@ def test_non_utf8_problem_file_exits_2(tmp_path, capsys):
     assert spec_file in err and "utf-8" in err
 
 
+def test_files_with_a_byte_order_mark_are_read(tmp_path, capsys):
+    # An editor may save UTF-8 with a leading byte-order mark; the first
+    # key must not read as '\ufeffid' or '\ufeffproblems'.
+    spec_file, plan, out_csv = tmp_path / "prob.txt", tmp_path / "plan.txt", tmp_path / "rows.csv"
+    spec_file.write_bytes(b"\xef\xbb\xbfid=P1\nn=20\nseed=3\n")
+    plan.write_bytes(b"\xef\xbb\xbf" + SMALL_PLAN.encode())
+    argv = ["solve", "--variant", "JBTVA", "--seed", "3"]
+    assert main(argv + ["--problem", str(spec_file)]) == 0
+    from_file = _result_fields(capsys.readouterr().out)
+    assert main(argv + ["--problem", "P1", "--n", "20"]) == 0
+    by_id = _result_fields(capsys.readouterr().out)
+    assert (from_file[0], from_file[2]) == (by_id[0], by_id[2])
+    assert main(["bench", "--plan", str(plan), "--out", str(out_csv)]) == 0
+    with open(out_csv, encoding="utf-8") as fh:
+        assert {(r.problem_id, r.variant) for r in read_csv(fh)} == {
+            ("custom", "JBTVA"), ("custom", "MJBTVA"),
+        }
+    assert capsys.readouterr().err == ""
+
+
 def test_bad_seed_value_exits_2(capsys):
     assert main(["solve", "--problem", "P1", "--variant", "JBTVA", "--seed", "-4"]) == 2
 

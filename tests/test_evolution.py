@@ -329,6 +329,11 @@ def _evaluated_population(sys_, states, omegas):
     return Population(states=states, fitness=fitness, omegas=np.array(omegas))
 
 
+def _work(sys_, variant):
+    """The ``work`` a run of ``variant`` passes its mutation: its copy of A, or None."""
+    return gauss_seidel_work(sys_) if variant.method == "gauss_seidel" else None
+
+
 def test_recombine_identity_matrix_keeps_states():
     pop = _evaluated_population(SYS2, [[1.0, 2.0], [3.0, 4.0]], [0.5, 1.5])
     out = recombine(pop, np.eye(2))
@@ -382,9 +387,9 @@ def test_mutation_matches_single_sweep():
         (sys30, states30, np.linspace(0.2, 1.8, 8).tolist()),
     ):
         pop = _evaluated_population(sys_, states, omegas)
-        out_j = mutate_and_evaluate(pop, sys_, Variant.JBTVA)
-        out_g = mutate_and_evaluate(pop, sys_, Variant.MGSBTVA)
         work = gauss_seidel_work(sys_)
+        out_j = mutate_and_evaluate(pop, sys_, Variant.JBTVA, None)
+        out_g = mutate_and_evaluate(pop, sys_, Variant.MGSBTVA, work)
         for i, omega in enumerate(omegas):
             assert np.array_equal(
                 out_j.states[i], jacobi_sr_step(sys_, pop.states[i], omega)
@@ -431,7 +436,7 @@ def test_derived_gauss_seidel_fitness_matches_direct_residual(pid):
 
 def test_mutation_equal_states_different_omegas_diverge():
     pop = _evaluated_population(SYS2, [[0.0, 0.0], [0.0, 0.0]], [0.5, 1.5])
-    out = mutate_and_evaluate(pop, SYS2, Variant.JBTVA)
+    out = mutate_and_evaluate(pop, SYS2, Variant.JBTVA, None)
     assert np.allclose(out.states[0], [0.75, 0.75], atol=1e-15)
     assert np.allclose(out.states[1], [2.25, 2.25], atol=1e-15)
 
@@ -439,9 +444,40 @@ def test_mutation_equal_states_different_omegas_diverge():
 def test_mutation_fixed_point_at_solution():
     x_star = np.array([1.0, 1.0])
     pop = _evaluated_population(SYS2, [x_star, x_star], [0.5, 1.5])
-    out = mutate_and_evaluate(pop, SYS2, Variant.GSBTVA)
+    out = mutate_and_evaluate(pop, SYS2, Variant.GSBTVA, gauss_seidel_work(SYS2))
     assert np.allclose(out.states, [x_star, x_star], atol=1e-12)
     assert np.all(out.fitness <= 1e-12)
+
+
+@pytest.mark.parametrize("variant", [Variant.MJBTVA, Variant.MGSBTVA])
+def test_mutation_needs_the_runs_work_argument(variant):
+    # A run makes its one copy of A; a stage called without it makes none.
+    pop = _evaluated_population(SYS2, [[0.0, 0.0], [1.0, 2.0]], [0.5, 1.5])
+    with pytest.raises(TypeError, match="work"):
+        mutate_and_evaluate(pop, SYS2, variant)
+
+
+@pytest.mark.parametrize("variant", ADAPTIVE)
+def test_stages_leave_their_input_population_unchanged(variant):
+    # The stages share their input's omegas array with their output, so
+    # none of them may write into the arrays it reads.
+    rng = np.random.default_rng(9)
+    sys_ = _dominant_system(6, seed=2)
+    work = _work(sys_, variant)
+    pop = _evaluated_population(sys_, rng.uniform(-30.0, 30.0, (4, 6)), [0.3, 0.8, 1.2, 1.7])
+    pop = mutate_and_evaluate(pop, sys_, variant, work)  # carries products from here
+    r = make_stochastic_matrix(pop.size, rng)
+    stages = [
+        lambda p: recombine(p, r),
+        lambda p: mutate_and_evaluate(p, sys_, variant, work),
+        select_and_reproduce,
+    ]
+    for stage in stages:
+        before = [a.tobytes() for a in pop]
+        out = stage(pop)
+        assert [a.tobytes() for a in pop] == before
+        assert out.omegas is pop.omegas
+        pop = out if out.fitness is not None else mutate_and_evaluate(out, sys_, variant, work)
 
 
 # --------------------------------------------------------------- selection
@@ -552,7 +588,7 @@ def test_carried_products_match_recomputation(variant, n_pop):
     # its shared product A delta, as in a run.
     sys_ = generate_problem(family_spec("P7", 30, 0))
     m = sys_.a if variant.method == "jacobi" else np.triu(sys_.a, 1)
-    work = gauss_seidel_work(sys_) if variant.method == "gauss_seidel" else None
+    work = _work(sys_, variant)
     rng = np.random.default_rng(4)
     states = rng.uniform(-30.0, 30.0, size=(n_pop, sys_.n))
     pop = _evaluated_population(sys_, states, init_relaxation_factors(n_pop))
@@ -590,10 +626,11 @@ def test_carried_products_match_recomputation(variant, n_pop):
 def test_shared_product_needs_carried_jacobi_products():
     pop = _evaluated_population(SYS2, [[0.0, 0.0], [0.0, 0.0]], [0.5, 1.5])
     with pytest.raises(ValueError, match="shared"):
-        mutate_and_evaluate(pop, SYS2, Variant.MJBTVA, shared=True)
-    pop = mutate_and_evaluate(pop, SYS2, Variant.MGSBTVA)
+        mutate_and_evaluate(pop, SYS2, Variant.MJBTVA, None, shared=True)
+    work = gauss_seidel_work(SYS2)
+    pop = mutate_and_evaluate(pop, SYS2, Variant.MGSBTVA, work)
     with pytest.raises(ValueError, match="shared"):
-        mutate_and_evaluate(pop, SYS2, Variant.MGSBTVA, shared=True)
+        mutate_and_evaluate(pop, SYS2, Variant.MGSBTVA, work, shared=True)
 
 
 def test_refresh_keeps_shared_runs_on_the_direct_path(monkeypatch):
@@ -682,7 +719,8 @@ def test_fixed_variant_starts_from_zero_vector(monkeypatch):
 @pytest.mark.parametrize("variant", Variant)
 def test_mutation_of_overflowing_states_is_warning_free(variant):
     states = np.array([[1e300, -1e300], [1e308, 1e308]])
-    out = mutate_and_evaluate(Population(states, None, np.array([0.5, 1.5])), SYS2, variant)
+    pop = Population(states, None, np.array([0.5, 1.5]))
+    out = mutate_and_evaluate(pop, SYS2, variant, _work(SYS2, variant))
     assert not np.isfinite(out.fitness).all()
 
 
@@ -755,7 +793,7 @@ def _plain_adaptive_loop(sys_, cfg):
     """
     variant = cfg.variant
     gauss_seidel = variant.method == "gauss_seidel"
-    work = gauss_seidel_work(sys_)
+    work = _work(sys_, variant)
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(sys_, cfg, rng)
     trace = []
@@ -1045,5 +1083,7 @@ def test_omegas_stay_contained_through_run():
 
 def test_run_solver_rejects_non_config():
     sys_ = _dominant_system(4, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cfg must be a SolverConfig"):
         run_solver(sys_, {"variant": "JBTVA"})
+    with pytest.raises(ValueError, match="sys must be a LinearSystem"):
+        run_solver(np.eye(3), SolverConfig(Variant.MJBTVA))

@@ -327,7 +327,11 @@ def test_render_parse_round_trip_custom():
         offdiag_rule=UniformRule(-1.5, 2.5),
         rhs_rule=ConstRule(2.0),
     )
-    assert parse_problem_spec(render_problem_spec(spec)) == spec
+    text = render_problem_spec(spec)
+    assert text == (
+        "id=custom\nn=12\nseed=9\ndiag=const:50.0\noffdiag=uniform:-1.5,2.5\nrhs=const:2.0\n"
+    )
+    assert parse_problem_spec(text) == spec
 
 
 @st.composite
