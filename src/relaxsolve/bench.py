@@ -60,7 +60,6 @@ _VARIANT_NAMES = tuple(v.value for v in Variant)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_U64 = (1 << 64) - 1
 
 
 def fnv1a64(data: bytes | str) -> int:
@@ -69,7 +68,7 @@ def fnv1a64(data: bytes | str) -> int:
         data = data.encode("utf-8")
     h = _FNV_OFFSET
     for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _U64
+        h = ((h ^ byte) * _FNV_PRIME) & (U64_LIMIT - 1)
     return h
 
 
@@ -80,7 +79,7 @@ def mix_seed(base_seed: int, label: str) -> int:
     (instance seeds), making every derived seed a pure function of the
     base seed, problem id, variant id, and repetition index.
     """
-    return (base_seed ^ fnv1a64(label)) & _U64
+    return (base_seed ^ fnv1a64(label)) & (U64_LIMIT - 1)
 
 
 def problem_hash(sys: LinearSystem) -> int:

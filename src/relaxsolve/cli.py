@@ -152,9 +152,9 @@ def _option_error(exc: ValueError) -> NoReturn:
 
 
 def _read(path: str, parse: Callable[[str], object], hint: str = ""):
-    """Parse UTF-8 text, BOM or none, at ``path``; exit 2 if malformed, 3 if unreadable."""
+    """Parse the UTF-8 text at ``path``; exit 2 if malformed, 3 if unreadable."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())
     except (SpecParseError, UnicodeDecodeError) as exc:
         _fail(f"{path}: {exc}", 2)

@@ -344,37 +344,33 @@ def recombine(pop: Population, r: np.ndarray) -> Population:
 
 
 def mutate_and_evaluate(
-    pop: Population,
-    sys: LinearSystem,
-    variant: Variant,
-    work: np.ndarray | None,
-    shared: bool = False,
+    pop: Population, sys: LinearSystem, work: np.ndarray | None, *, shared: bool = False
 ) -> Population:
     """One relaxed sweep per slot with its own omega, then re-evaluate.
 
-    The sweep is Jacobi or Gauss-Seidel according to the variant, and
-    reuses the slot's carried product when there is one. A Jacobi slot
-    carries ``A x'``, its fitness is ``||A x' - b||``. With ``shared``
-    (all slots hold one state and product, up to recombination's
-    rounding) ``A x' = A x + w A d`` for slot 0's ``d = (b - A x) / D``,
-    one product for all. A Gauss-Seidel slot carries ``U x'`` and derives
-    its fitness as ``||((1-w)/w) D (x - x') + (U x' - U x)||`` (w in (0, 2)).
-    ``work`` is the run's ``gauss_seidel_work`` copy of A for a Gauss-Seidel
-    population, None for a Jacobi one. Norms are ``linalg.vector_norm``,
-    bit for bit ``np.linalg.norm``. Non-finite states propagate as-is,
-    without warnings; the run loop's divergence check deals with them.
+    ``work`` is the run's ``gauss_seidel_work`` copy of A, and the sweep
+    Gauss-Seidel on it; with ``work`` None the sweep is Jacobi. A slot
+    reuses its carried product when it has one. A Jacobi slot carries
+    ``A x'``, its fitness is ``||A x' - b||``. With ``shared`` (all slots
+    hold one state and product, up to recombination's rounding)
+    ``A x' = A x + w A d`` for slot 0's ``d = (b - A x) / D``, one product
+    for all. A Gauss-Seidel slot carries ``U x'`` and derives its fitness
+    as ``||((1-w)/w) D (x - x') + (U x' - U x)||`` (w in (0, 2)). Norms are
+    ``linalg.vector_norm``, bit for bit ``np.linalg.norm``. Non-finite
+    states propagate as-is, without warnings; the run loop's divergence
+    check deals with them.
     """
-    return _sweep_and_evaluate(pop, sys, variant.method == "jacobi", work, shared)
+    return _sweep_and_evaluate(pop, sys, work, shared)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep_and_evaluate(pop, sys, jacobi, work, shared):
+def _sweep_and_evaluate(pop, sys, work, shared):
     # Cheaper as a decorator than a with block; never on a traced name (it sets __wrapped__).
-    if shared and (not jacobi or pop.products is None):
+    if shared and (work is not None or pop.products is None):
         raise ValueError("shared needs a Jacobi population with carried products")
     carried = [None] * pop.size if pop.products is None else pop.products
     slots = zip(pop.states, pop.omegas.tolist(), carried)
-    if jacobi:
+    if work is None:
         states = np.array([jacobi_sr_step(sys, x, w, ax=ax) for x, w, ax in slots])
         if shared:
             a_delta = np.dot(sys.a, (sys.b - carried[0]) / sys.diag)
@@ -444,7 +440,7 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
         if t:
             if recombining:
                 pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
-            pop = mutate_and_evaluate(pop, sys, variant, work, shared=shared)
+            pop = mutate_and_evaluate(pop, sys, work, shared=shared)
             if adaptive:  # one slot has no pair to adapt, nothing to select
                 w, err = pop.omegas.tolist(), pop.fitness.tolist()
                 pop.omegas[:] = adapt_pair(w[0], w[1], err[0], err[1], t - 1, rng)

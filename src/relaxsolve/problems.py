@@ -311,16 +311,17 @@ def scan_kv(text: str, kinds: dict[str, Callable]) -> tuple[dict, dict[str, int 
     """Scan ``key=value`` lines into ``(fields, lines)``, converting each value.
 
     Shared by the problem-spec and benchmark-plan parsers: ``kinds`` maps
-    each allowed key to its value's converter. ``#`` starts a comment;
-    blank lines are skipped. A line without a key or a value, an unknown
-    or repeated key, or a value its converter refuses is an error at its
-    line, so errors come in line order. A refused ``integer`` or ``float``
-    reads ``invalid integer`` (or ``real``) ``for key ...``; any other
-    converter's message is kept. ``lines`` maps each key to its line.
+    each allowed key to its value's converter. One leading byte-order mark
+    is dropped, ``#`` starts a comment and blank lines are skipped. A line
+    without a key or a value, an unknown or repeated key, or a value its
+    converter refuses is an error at its line, so errors come in line order.
+    A refused ``integer`` or ``float`` reads ``invalid integer`` (or
+    ``real``) ``for key ...``; any other converter's message is kept.
+    ``lines`` maps each key to its line.
     """
     fields: dict[str, object] = {}
     lines: dict[str, int | None] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -388,8 +388,8 @@ def test_mutation_matches_single_sweep():
     ):
         pop = _evaluated_population(sys_, states, omegas)
         work = gauss_seidel_work(sys_)
-        out_j = mutate_and_evaluate(pop, sys_, Variant.JBTVA, None)
-        out_g = mutate_and_evaluate(pop, sys_, Variant.MGSBTVA, work)
+        out_j = mutate_and_evaluate(pop, sys_, None)
+        out_g = mutate_and_evaluate(pop, sys_, work)
         for i, omega in enumerate(omegas):
             assert np.array_equal(
                 out_j.states[i], jacobi_sr_step(sys_, pop.states[i], omega)
@@ -420,7 +420,7 @@ def test_derived_gauss_seidel_fitness_matches_direct_residual(pid):
     pop = Population(rng.uniform(-30.0, 30.0, size=(5, 30)), None, omegas)
     work = gauss_seidel_work(sys_)
     for round_ in range(3):
-        out = mutate_and_evaluate(pop, sys_, Variant.MGSBTVA, work)
+        out = mutate_and_evaluate(pop, sys_, work)
         carried = pop.products
         if carried is None:
             carried = pop.states @ np.triu(sys_.a, 1).T
@@ -436,7 +436,7 @@ def test_derived_gauss_seidel_fitness_matches_direct_residual(pid):
 
 def test_mutation_equal_states_different_omegas_diverge():
     pop = _evaluated_population(SYS2, [[0.0, 0.0], [0.0, 0.0]], [0.5, 1.5])
-    out = mutate_and_evaluate(pop, SYS2, Variant.JBTVA, None)
+    out = mutate_and_evaluate(pop, SYS2, None)
     assert np.allclose(out.states[0], [0.75, 0.75], atol=1e-15)
     assert np.allclose(out.states[1], [2.25, 2.25], atol=1e-15)
 
@@ -444,7 +444,7 @@ def test_mutation_equal_states_different_omegas_diverge():
 def test_mutation_fixed_point_at_solution():
     x_star = np.array([1.0, 1.0])
     pop = _evaluated_population(SYS2, [x_star, x_star], [0.5, 1.5])
-    out = mutate_and_evaluate(pop, SYS2, Variant.GSBTVA, gauss_seidel_work(SYS2))
+    out = mutate_and_evaluate(pop, SYS2, gauss_seidel_work(SYS2))
     assert np.allclose(out.states, [x_star, x_star], atol=1e-12)
     assert np.all(out.fitness <= 1e-12)
 
@@ -452,9 +452,12 @@ def test_mutation_fixed_point_at_solution():
 @pytest.mark.parametrize("variant", [Variant.MJBTVA, Variant.MGSBTVA])
 def test_mutation_needs_the_runs_work_argument(variant):
     # A run makes its one copy of A; a stage called without it makes none.
+    # The sweep follows ``work`` alone, so no variant can be passed beside it.
     pop = _evaluated_population(SYS2, [[0.0, 0.0], [1.0, 2.0]], [0.5, 1.5])
     with pytest.raises(TypeError, match="work"):
-        mutate_and_evaluate(pop, SYS2, variant)
+        mutate_and_evaluate(pop, SYS2)
+    with pytest.raises(TypeError, match="positional"):
+        mutate_and_evaluate(pop, SYS2, variant, _work(SYS2, variant))
 
 
 @pytest.mark.parametrize("variant", ADAPTIVE)
@@ -465,11 +468,11 @@ def test_stages_leave_their_input_population_unchanged(variant):
     sys_ = _dominant_system(6, seed=2)
     work = _work(sys_, variant)
     pop = _evaluated_population(sys_, rng.uniform(-30.0, 30.0, (4, 6)), [0.3, 0.8, 1.2, 1.7])
-    pop = mutate_and_evaluate(pop, sys_, variant, work)  # carries products from here
+    pop = mutate_and_evaluate(pop, sys_, work)  # carries products from here
     r = make_stochastic_matrix(pop.size, rng)
     stages = [
         lambda p: recombine(p, r),
-        lambda p: mutate_and_evaluate(p, sys_, variant, work),
+        lambda p: mutate_and_evaluate(p, sys_, work),
         select_and_reproduce,
     ]
     for stage in stages:
@@ -477,7 +480,7 @@ def test_stages_leave_their_input_population_unchanged(variant):
         out = stage(pop)
         assert [a.tobytes() for a in pop] == before
         assert out.omegas is pop.omegas
-        pop = out if out.fitness is not None else mutate_and_evaluate(out, sys_, variant, work)
+        pop = out if out.fitness is not None else mutate_and_evaluate(out, sys_, work)
 
 
 # --------------------------------------------------------------- selection
@@ -606,7 +609,7 @@ def test_carried_products_match_recomputation(variant, n_pop):
         if pop.products is not None:
             check(pop, scale)
         carried = pop.products
-        pop = mutate_and_evaluate(pop, sys_, variant, work, shared=shared)
+        pop = mutate_and_evaluate(pop, sys_, work, shared=shared)
         scale = np.max(np.abs(pop.states) @ np.abs(m).T)
         check(pop, scale)
         if shared:
@@ -626,11 +629,11 @@ def test_carried_products_match_recomputation(variant, n_pop):
 def test_shared_product_needs_carried_jacobi_products():
     pop = _evaluated_population(SYS2, [[0.0, 0.0], [0.0, 0.0]], [0.5, 1.5])
     with pytest.raises(ValueError, match="shared"):
-        mutate_and_evaluate(pop, SYS2, Variant.MJBTVA, None, shared=True)
+        mutate_and_evaluate(pop, SYS2, None, shared=True)
     work = gauss_seidel_work(SYS2)
-    pop = mutate_and_evaluate(pop, SYS2, Variant.MGSBTVA, work)
+    pop = mutate_and_evaluate(pop, SYS2, work)
     with pytest.raises(ValueError, match="shared"):
-        mutate_and_evaluate(pop, SYS2, Variant.MGSBTVA, work, shared=True)
+        mutate_and_evaluate(pop, SYS2, work, shared=True)
 
 
 def test_refresh_keeps_shared_runs_on_the_direct_path(monkeypatch):
@@ -720,7 +723,7 @@ def test_fixed_variant_starts_from_zero_vector(monkeypatch):
 def test_mutation_of_overflowing_states_is_warning_free(variant):
     states = np.array([[1e300, -1e300], [1e308, 1e308]])
     pop = Population(states, None, np.array([0.5, 1.5]))
-    out = mutate_and_evaluate(pop, SYS2, variant, _work(SYS2, variant))
+    out = mutate_and_evaluate(pop, SYS2, _work(SYS2, variant))
     assert not np.isfinite(out.fitness).all()
 
 
@@ -807,7 +810,7 @@ def _plain_adaptive_loop(sys_, cfg):
                 r = make_stochastic_matrix(pop.size, rng)
                 equal_parents.append(pop.states[0].tobytes() == pop.states[1].tobytes())
                 pop = recombine(pop, r)
-            pop = mutate_and_evaluate(pop, sys_, variant, work, shared=shared)
+            pop = mutate_and_evaluate(pop, sys_, work, shared=shared)
             omegas = pop.omegas.copy()
             omegas[0], omegas[1] = adapt_pair(
                 omegas[0], omegas[1], pop.fitness[0], pop.fitness[1], t - 1, rng

@@ -13,6 +13,7 @@ from relaxsolve import (
     UniformRule,
     family_spec,
     generate_problem,
+    parse_bench_plan,
     parse_problem_spec,
     problem_hash,
     render_problem_spec,
@@ -245,6 +246,15 @@ def test_parse_accepts_comments_and_blanks():
     text = "# a comment\n\nid=P2   # trailing comment\n n = 30 \nseed=4\n"
     spec = parse_problem_spec(text)
     assert spec.id == "P2" and spec.n == 30 and spec.seed == 4
+
+
+def test_parsers_drop_one_leading_byte_order_mark():
+    # The shared scanner drops it, so a library caller reading a file as
+    # plain UTF-8 gets what the CLI gets; a second one is text.
+    assert parse_problem_spec("\ufeffid=P1\nn=20\nseed=1\n") == family_spec("P1", 20, 1)
+    assert [p.id for p in parse_bench_plan("\ufeffproblems=P1\n").problems] == ["P1"]
+    with pytest.raises(SpecParseError, match=r"^line 1: unknown key '\\ufeffid'"):
+        parse_problem_spec("\ufeff\ufeffid=P1\nn=20\nseed=1\n")
 
 
 def test_parse_error_reports_line_number():

@@ -1,7 +1,9 @@
 """The demos and the outcome-grid script run to completion on this checkout.
 
-Each runs in-process, as its own ``__main__``, which is faster than a
-fresh interpreter and sees the same package the rest of the suite tests.
+Each demo script runs in-process, as its own ``__main__``, which is faster
+than a fresh interpreter and sees the same package the rest of the suite
+tests. Each demo plan runs in-process through ``relaxsolve bench``, whose
+summary lines are the plan's findings.
 """
 
 import runpy
@@ -10,13 +12,23 @@ from pathlib import Path
 
 import pytest
 
+from relaxsolve import FAMILY_IDS, parse_bench_plan
+from relaxsolve.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = (
     "01_relaxation_basics",
     "02_self_adaptive_run",
-    "03_recombination_ablation",
-    "04_problem_family_tour",
 )
+
+
+def _bench_plan(name, tmp_path, capsys):
+    """Exit code, plan and per-group summary lines of ``bench`` on a demo plan."""
+    path = ROOT / "demos" / f"{name}.plan"
+    code = main(["bench", "--plan", str(path), "--out", str(tmp_path / "rows.csv")])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, parse_bench_plan(path.read_text(encoding="utf-8")), out.splitlines()
 
 
 @pytest.mark.parametrize("name", DEMOS)
@@ -24,6 +36,25 @@ def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # demo 02 writes its SVG under the working directory
     runpy.run_path(str(ROOT / "demos" / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_ablation_plan_converges_in_every_group(tmp_path, capsys):
+    # Each recombining variant beside its M* partner, on shared P1 instances.
+    code, plan, lines = _bench_plan("03_recombination_ablation", tmp_path, capsys)
+    assert code == 0
+    assert [line.split(":")[0] for line in lines] == [
+        "P1 JBTVA", "P1 MJBTVA", "P1 GSBTVA", "P1 MGSBTVA",
+    ]
+    assert all(" runs=10 converged=10 " in line for line in lines)
+
+
+def test_family_plan_prints_one_line_per_family_in_plan_order(tmp_path, capsys):
+    # Some families no longer contract at n = 200 (P5 diverges), so bench exits 1.
+    code, plan, lines = _bench_plan("04_problem_family_tour", tmp_path, capsys)
+    assert code == 1
+    assert [p.id for p in plan.problems] == list(FAMILY_IDS)
+    assert [line.split(":")[0] for line in lines] == [f"{p.id} MGSBTVA" for p in plan.problems]
+    assert all(" runs=3 " in line for line in lines)
 
 
 def test_outcome_grid_counts_its_runs(monkeypatch, capsys):
