@@ -4,8 +4,8 @@ Runs every (problem, variant, repetition) combination of a plan with
 deterministically derived seeds, shares one generated system instance
 per (problem, repetition) across all variants so paired comparisons see
 identical data, and serializes results to CSV and residual-trace SVG
-charts. Seed derivation mixes the plan's base seed with an FNV-1a hash
-of a text label, so results are invariant under reordering of the plan.
+charts. ``mix_seed`` XORs the plan's base seed with the FNV-1a hash of
+a text label, so results are invariant under reordering of the plan.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "CSV_HEADER",
     "Summary",
     "emit_trace_svg",
-    "fnv1a64",
     "mix_seed",
     "parse_bench_plan",
     "problem_hash",
@@ -62,24 +61,18 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def fnv1a64(data: bytes | str) -> int:
-    """64-bit FNV-1a hash of bytes (strings are UTF-8 encoded first)."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & (U64_LIMIT - 1)
-    return h
-
-
 def mix_seed(base_seed: int, label: str) -> int:
-    """Derive a run/instance seed: ``base_seed XOR fnv1a64(label)``.
+    """Derive a run/instance seed: ``base_seed`` XOR FNV-1a of ``label``.
 
-    Labels look like ``"P1|JBTVA|3"`` (run seeds) or ``"P1|instance|3"``
-    (instance seeds), making every derived seed a pure function of the
-    base seed, problem id, variant id, and repetition index.
+    The hash is 64-bit FNV-1a of the label's UTF-8 bytes, and the seed is
+    masked to 64 bits. Labels look like ``"P1|JBTVA|3"`` (run seeds) or
+    ``"P1|instance|3"`` (instance seeds), making every derived seed a pure
+    function of the base seed, problem id, variant id, and repetition index.
     """
-    return (base_seed ^ fnv1a64(label)) & (U64_LIMIT - 1)
+    h = _FNV_OFFSET
+    for byte in label.encode("utf-8"):
+        h = ((h ^ byte) * _FNV_PRIME) & (U64_LIMIT - 1)
+    return (base_seed ^ h) & (U64_LIMIT - 1)
 
 
 def problem_hash(sys: LinearSystem) -> int:

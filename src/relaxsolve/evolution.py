@@ -358,7 +358,8 @@ def mutate_and_evaluate(
     as ``||((1-w)/w) D (x - x') + (U x' - U x)||`` (w in (0, 2)). Norms are
     ``linalg.vector_norm``, bit for bit ``np.linalg.norm``. Non-finite
     states propagate as-is, without warnings; the run loop's divergence
-    check deals with them.
+    check deals with them. ValueError unless omegas and carried products
+    have one row per state.
     """
     return _sweep_and_evaluate(pop, sys, work, shared)
 
@@ -369,6 +370,8 @@ def _sweep_and_evaluate(pop, sys, work, shared):
     if shared and (work is not None or pop.products is None):
         raise ValueError("shared needs a Jacobi population with carried products")
     carried = [None] * pop.size if pop.products is None else pop.products
+    if not len(pop.states) == len(pop.omegas) == len(carried):
+        raise ValueError("population arrays disagree on the slot count")
     slots = zip(pop.states, pop.omegas.tolist(), carried)
     if work is None:
         states = np.array([jacobi_sr_step(sys, x, w, ax=ax) for x, w, ax in slots])
@@ -397,12 +400,16 @@ def select_and_reproduce(pop: Population) -> Population:
     k occupies slots 2k and 2k+1. Slot omegas stay where they are, so
     the copies of one survivor run under different relaxation factors in
     the next generation. Carried products move with their states.
+    ValueError unless fitness and carried products have one row per state.
     """
     if pop.fitness is None:
         raise ValueError("population must be evaluated before selection")
-    if pop.size % 2 != 0:
+    size = pop.size
+    if size % 2 != 0:
         raise ValueError("population size must be even")
-    keep = pop.fitness.argsort(kind="stable")[: pop.size // 2].repeat(2)
+    if len(pop.fitness) != size or pop.products is not None and len(pop.products) != size:
+        raise ValueError("population arrays disagree on the slot count")
+    keep = pop.fitness.argsort(kind="stable")[: size // 2].repeat(2)
     products = None if pop.products is None else pop.products.take(keep, 0)
     return Population(pop.states.take(keep, 0), pop.fitness.take(keep), pop.omegas, products)
 

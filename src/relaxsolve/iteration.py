@@ -49,11 +49,14 @@ def jacobi_sr_step(
 
     Realizes ``x'_i = (1-w) x_i + (w / a_ii) (b_i - sum_{j != i} a_ij x_j)``
     for every component at once, computed as ``x + w ((b - A x) / D)``.
-    ``ax`` is ``A x`` if the caller already has it; else the step computes it.
+    ``ax`` is ``A x`` of x's shape (else ValueError) if the caller
+    already has it; without it the step computes it.
     """
     x = check_state(sys, x)
     if ax is None:
         ax = sys.a @ x
+    elif getattr(ax, "shape", None) != x.shape and np.shape(ax) != x.shape:
+        raise ValueError(f"dimension mismatch: x has shape {x.shape}, ax has shape {np.shape(ax)}")
     return x + omega * ((sys.b - ax) / sys.diag)
 
 
@@ -92,8 +95,8 @@ def gauss_seidel_sr_step(
     order, as the forward substitution
     ``(D/w + L) x' = ((1-w)/w) D x + b - U x``. No inverse is formed.
     ``work`` is a ``gauss_seidel_work`` copy of A to solve in and ``ux``
-    is ``U x``; either is made here when not given. At ``w = 0`` the
-    step is the identity.
+    is ``U x`` of x's shape (else ValueError); either is made here when
+    not given. At ``w = 0`` the step is the identity.
     """
     x = check_state(sys, x)
     if omega == 0.0:
@@ -102,6 +105,8 @@ def gauss_seidel_sr_step(
         work = gauss_seidel_work(sys)
     if ux is None:
         ux = upper_product(work, x)
+    elif getattr(ux, "shape", None) != x.shape and np.shape(ux) != x.shape:
+        raise ValueError(f"dimension mismatch: x has shape {x.shape}, ux has shape {np.shape(ux)}")
     d = sys.diag
     rhs = ((1.0 - omega) / omega) * d * x + sys.b - ux
     diagonal = work.reshape(-1)[:: sys.n + 1]

@@ -29,6 +29,8 @@ DIAG_FLOOR = 1e-12
 # One past the largest unsigned 64-bit integer: the bound of seeds and hashes.
 U64_LIMIT = 2**64
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -116,8 +118,12 @@ def checked_int(name: str, value, lo: int, hi: int | None = None):
 
 
 def check_state(sys: LinearSystem, x) -> np.ndarray:
-    """``x`` as a float64 array; ValueError unless its shape is ``(sys.n,)``."""
-    x = np.asarray(x, dtype=np.float64)
+    """``x`` as a float64 array; ValueError if complex or its shape is not ``(sys.n,)``."""
+    x = np.asarray(x)
+    if x.dtype is not _FLOAT64:  # a float64 state passes uncopied and unchecked
+        if np.iscomplexobj(x):
+            raise ValueError("x must be real, got complex entries")
+        x = x.astype(np.float64)
     if x.shape != sys.b.shape:
         raise ValueError(
             f"dimension mismatch: system has n={sys.n}, x has shape {x.shape}"

@@ -483,6 +483,29 @@ def test_stages_leave_their_input_population_unchanged(variant):
         pop = out if out.fitness is not None else mutate_and_evaluate(out, sys_, work)
 
 
+@pytest.mark.parametrize("variant", [Variant.MJBTVA, Variant.MGSBTVA])
+def test_stages_refuse_arrays_that_disagree_on_the_slot_count(variant):
+    # Zipping or indexing by the states would drop or misread slots.
+    work = _work(SYS2, variant)
+    refused = pytest.raises(ValueError, match="^population arrays disagree on the slot count$")
+    for omegas in ([0.5], [0.5, 1.0, 1.5]):
+        with refused:
+            mutate_and_evaluate(Population(np.zeros((2, 2)), None, np.array(omegas)), SYS2, work)
+    pop = _evaluated_population(SYS2, [[0.0, 0.0], [1.0, 2.0]], [0.5, 1.5])
+    pop = mutate_and_evaluate(pop, SYS2, work)  # carries products from here
+    for bad in (
+        pop._replace(products=np.vstack([pop.products, pop.products[:1]])),
+        pop._replace(products=pop.products[:1]),
+    ):
+        with refused:
+            mutate_and_evaluate(bad, SYS2, work)
+        with refused:
+            select_and_reproduce(bad)
+    for fitness in (pop.fitness[:1], np.append(pop.fitness, 0.0)):
+        with refused:
+            select_and_reproduce(pop._replace(fitness=fitness))
+
+
 # --------------------------------------------------------------- selection
 
 def test_selection_duplicates_best_of_two():

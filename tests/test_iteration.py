@@ -150,6 +150,17 @@ def test_steps_reject_wrong_length_state(step):
         step(SYS2, np.ones(3), 1.0)
 
 
+@pytest.mark.parametrize("product", [np.array([5.0]), 5.0, [5.0, 5.0, 5.0], np.ones((2, 1))])
+@pytest.mark.parametrize("step, name", [(jacobi_sr_step, "ax"), (gauss_seidel_sr_step, "ux")])
+def test_steps_reject_a_carried_product_of_the_wrong_shape(step, name, product):
+    # numpy would broadcast a length-1 product over every entry of x.
+    with pytest.raises(ValueError, match=f"^dimension mismatch: x has shape \\(2,\\), {name} has"):
+        step(SYS2, np.zeros(2), 1.0, **{name: product})
+    # A sequence of x's shape is still taken.
+    x = np.zeros(2)
+    assert np.array_equal(step(SYS2, x, 1.0, **{name: [0.0, 0.0]}), step(SYS2, x, 1.0))
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         explicit_operator(SYS2, 1.0, "sor")

@@ -12,6 +12,7 @@ from relaxsolve import (
     SolverConfig,
     family_spec,
     generate_problem,
+    jacobi_sr_step,
     residual_norm,
 )
 from relaxsolve.iteration import gauss_seidel_work
@@ -119,6 +120,18 @@ def test_residual_norm_rejects_wrong_length_state():
     sys_ = LinearSystem(np.eye(3), np.ones(3))
     with pytest.raises(ValueError, match="dimension mismatch"):
         residual_norm(sys_, np.ones(2))
+
+
+def test_residual_norm_rejects_complex_state():
+    # Dropping the imaginary part would call 1 + 1j a solution's entry.
+    sys_ = LinearSystem(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
+    with pytest.raises(ValueError, match="^x must be real, got complex entries$"):
+        residual_norm(sys_, np.array([1 + 1j, 1.0]))
+    with pytest.raises(ValueError, match="^x must be real, got complex entries$"):
+        jacobi_sr_step(sys_, np.array([1 + 1j, 1.0]), 1.0)
+    # Other real input is still cast to float64.
+    for x in ([1, 1], np.ones(2, dtype=np.float32), np.ones(2, dtype=">f8")):
+        assert residual_norm(sys_, x) == 0.0
 
 
 def test_residual_norm_known_value():
