@@ -17,9 +17,10 @@ selection, so the relaxation factor stays constant.
 Each slot carries the matrix product its next sweep needs: ``A x`` for a
 Jacobi slot, ``U x`` for a Gauss-Seidel slot (U the strict upper
 triangle of A). Recombination maps the products with the same matrix as
-the states, and selection copies them with the states. A Gauss-Seidel
-slot reads the lower triangle of the run's n-by-n work copy of A to
-solve, the upper one for ``U x'``, and derives its residual from these.
+the states, and selection copies them with the states. The Gauss-Seidel
+slots sweep as one stack, over the run's copies of A's diagonal blocks
+and A's other blocks, each block row read once for all slots to solve and
+once for ``U x'``; each slot derives its residual from these.
 A Jacobi slot reads A for ``A x'``, but from generation 2 on an adaptive
 run's slots hold one survivor, and one product ``A d`` of its step
 ``d = (b - A x) / D`` gives each ``A x' = A x + w A d``. Of these derived
@@ -328,7 +329,8 @@ def recombine(pop: Population, r: np.ndarray) -> Population:
     within 1e-12. Offspring i is ``sum_j r_ij * state_j``, and its carried
     product is the same combination of the parents' products (the sweep's
     products are linear in the state). Slot omegas are untouched;
-    fitnesses are invalidated.
+    fitnesses are invalidated. ValueError unless omegas and carried
+    products have one row per state.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (pop.size, pop.size):
@@ -336,6 +338,8 @@ def recombine(pop: Population, r: np.ndarray) -> Population:
             f"stochastic matrix shape {r.shape} does not match population "
             f"size {pop.size}"
         )
+    if len(pop.omegas) != pop.size or pop.products is not None and len(pop.products) != pop.size:
+        raise ValueError("population arrays disagree on the slot count")
     rows = r.tolist()  # a NaN or infinite entry fails its row's sum test
     if not all(min(row) >= 0.0 and abs(sum(row) - 1.0) <= 1e-12 for row in rows):
         raise ValueError("matrix rows must be nonnegative and sum to 1 within 1e-12")
@@ -344,13 +348,13 @@ def recombine(pop: Population, r: np.ndarray) -> Population:
 
 
 def mutate_and_evaluate(
-    pop: Population, sys: LinearSystem, work: np.ndarray | None, *, shared: bool = False
+    pop: Population, sys: LinearSystem, work: list | None, *, shared: bool = False
 ) -> Population:
     """One relaxed sweep per slot with its own omega, then re-evaluate.
 
-    ``work`` is the run's ``gauss_seidel_work`` copy of A, and the sweep
-    Gauss-Seidel on it; with ``work`` None the sweep is Jacobi. A slot
-    reuses its carried product when it has one. A Jacobi slot carries
+    ``work`` is the run's ``gauss_seidel_work`` blocks of A: one sweep call
+    Gauss-Seidel on them for all slots; with ``work`` None the sweep is
+    Jacobi. A slot reuses its carried product when it has one. A Jacobi slot carries
     ``A x'``, its fitness is ``||A x' - b||``. With ``shared`` (all slots
     hold one state and product, up to recombination's rounding)
     ``A x' = A x + w A d`` for slot 0's ``d = (b - A x) / D``, one product
@@ -372,8 +376,8 @@ def _sweep_and_evaluate(pop, sys, work, shared):
     carried = [None] * pop.size if pop.products is None else pop.products
     if not len(pop.states) == len(pop.omegas) == len(carried):
         raise ValueError("population arrays disagree on the slot count")
-    slots = zip(pop.states, pop.omegas.tolist(), carried)
     if work is None:
+        slots = zip(pop.states, pop.omegas.tolist(), carried)
         states = np.array([jacobi_sr_step(sys, x, w, ax=ax) for x, w, ax in slots])
         if shared:
             a_delta = np.dot(sys.a, (sys.b - carried[0]) / sys.diag)
@@ -382,14 +386,12 @@ def _sweep_and_evaluate(pop, sys, work, shared):
             products = np.array([np.dot(sys.a, x) for x in states])
         fitness = np.array([vector_norm(r) for r in products - sys.b])
         return Population(states, fitness, pop.omegas, products)
-    rows = []
-    for x, w, ux in slots:
-        ux = upper_product(work, x) if ux is None else ux
-        x_new = gauss_seidel_sr_step(sys, x, w, ux=ux, work=work)
-        ux_new = upper_product(work, x_new)
-        r = ((1.0 - w) / w) * sys.diag * (x - x_new) + (ux_new - ux)
-        rows.append((x_new, vector_norm(r), ux_new))
-    states, fitness, products = map(np.array, zip(*rows))
+    x, w = pop.states, pop.omegas
+    ux = upper_product(sys, work, x) if pop.products is None else pop.products
+    states = gauss_seidel_sr_step(sys, x, w, ux=ux, work=work)
+    products = upper_product(sys, work, states)
+    r = ((1.0 - w) / w)[:, None] * sys.diag * (x - states) + (products - ux)
+    fitness = np.array([vector_norm(v) for v in r])
     return Population(states, fitness, pop.omegas, products)
 
 
@@ -438,7 +440,7 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(sys, cfg, rng)
     gauss_seidel = variant.method == "gauss_seidel"
-    work = gauss_seidel_work(sys) if gauss_seidel else None
+    work = gauss_seidel_work(sys, pop.size) if gauss_seidel else None
     trace = []
     peak = 0.0
     t0 = time.perf_counter()

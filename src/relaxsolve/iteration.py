@@ -11,19 +11,20 @@ A step can be handed the matrix product of ``x`` that it needs, carried
 over from the previous generation: ``A x`` for Jacobi, ``U x`` (U the
 strict upper triangle) for Gauss-Seidel. Given it, a Jacobi step reads
 no matrix, and a Gauss-Seidel step reads only the lower triangle, in a
-forward substitution over a per-run work copy of A (``gauss_seidel_work``)
-whose diagonal it overwrites in place.
+forward substitution. The Gauss-Seidel kernels take a ``(k, n)`` stack of
+states and read each block row of A once for all of them.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrmv, dtrsv
 
-from .linalg import LinearSystem, check_state
+from .linalg import LinearSystem, check_state, checked_real
 
 __all__ = [
     "IterationOperator",
@@ -33,6 +34,11 @@ __all__ = [
     "jacobi_sr_step",
     "upper_product",
 ]
+
+
+# More than one state at n >= BLOCKED_FROM sweeps in blocks of BLOCK_ROWS rows.
+BLOCKED_FROM = 500
+BLOCK_ROWS = 256
 
 
 class IterationOperator(NamedTuple):
@@ -50,9 +56,12 @@ def jacobi_sr_step(
     Realizes ``x'_i = (1-w) x_i + (w / a_ii) (b_i - sum_{j != i} a_ij x_j)``
     for every component at once, computed as ``x + w ((b - A x) / D)``.
     ``ax`` is ``A x`` of x's shape (else ValueError) if the caller
-    already has it; without it the step computes it.
+    already has it; without it the step computes it. ValueError unless
+    omega is a finite real number.
     """
     x = check_state(sys, x)
+    if type(omega) is not float or not math.isfinite(omega):
+        checked_real("omega", omega, -math.inf, math.inf)
     if ax is None:
         ax = sys.a @ x
     elif getattr(ax, "shape", None) != x.shape and np.shape(ax) != x.shape:
@@ -60,33 +69,42 @@ def jacobi_sr_step(
     return x + omega * ((sys.b - ax) / sys.diag)
 
 
-def gauss_seidel_work(sys: LinearSystem) -> np.ndarray:
-    """Writable work copy of ``sys.a`` for the Gauss-Seidel kernels.
+def gauss_seidel_work(sys: LinearSystem, slots: int) -> list[tuple[int, int, np.ndarray]]:
+    """``(start, end, block)`` copies of A's diagonal blocks for the Gauss-Seidel kernels.
 
-    Holds the strict triangles L and U of A with a zero diagonal, which
-    ``gauss_seidel_sr_step`` overwrites during a step and zeroes again
-    before it returns. Like ``sys.a`` it is row-major, so its transpose
-    is a Fortran-ordered operand that the BLAS wrappers take without
-    copying n^2 entries on every call.
+    Each block holds the strict triangles of ``sys.a[start:end, start:end]``
+    and a zero diagonal, which ``gauss_seidel_sr_step`` overwrites during a
+    step and zeroes again before it returns. Blocks are row-major, so their
+    transposes are Fortran operands that the BLAS wrappers take uncopied.
+    There is one n-by-n block unless ``slots`` > 1 and n >= ``BLOCKED_FROM``.
     """
-    work = sys.a.copy()
-    np.fill_diagonal(work, 0.0)
+    size = BLOCK_ROWS if slots > 1 and sys.n >= BLOCKED_FROM else sys.n
+    work = [(s, min(s + size, sys.n), sys.a[s : s + size, s : s + size].copy())
+            for s in range(0, sys.n, size)]
+    for *_, block in work:
+        np.fill_diagonal(block, 0.0)
     return work
 
 
-def upper_product(work: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``U x`` for the strict upper triangle U held in a work copy of A."""
-    # work.T is A^T in Fortran order; the transpose of its lower triangle is U.
-    return dtrmv(work.T, x, lower=1, trans=1)
+def upper_product(sys: LinearSystem, work: list, x: np.ndarray) -> np.ndarray:
+    """``U x``, U the strict upper triangle of A, for x or each row of a stack x."""
+    out = np.array(x, dtype=np.float64)
+    rows = out.reshape(-1, sys.n)
+    for s, e, block in work:  # block.T's lower triangle is U's block, transposed
+        for i in range(len(rows)):
+            dtrmv(block.T, rows[i, s:e], lower=1, trans=1, overwrite_x=1)
+        if e < sys.n:  # the columns past the block still hold x
+            rows[:, s:e] += rows[:, e:] @ sys.a[s:e, e:].T
+    return out
 
 
 def gauss_seidel_sr_step(
     sys: LinearSystem,
     x: np.ndarray,
-    omega: float,
+    omega,
     *,
     ux: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    work: list | None = None,
 ) -> np.ndarray:
     """One relaxed Gauss-Seidel (SOR) step, a single forward sweep.
 
@@ -94,27 +112,39 @@ def gauss_seidel_sr_step(
     (b_i - sum_{j<i} a_ij x'_j - sum_{j>i} a_ij x_j)`` for i = 1..n in
     order, as the forward substitution
     ``(D/w + L) x' = ((1-w)/w) D x + b - U x``. No inverse is formed.
-    ``work`` is a ``gauss_seidel_work`` copy of A to solve in and ``ux``
-    is ``U x`` of x's shape (else ValueError); either is made here when
-    not given. At ``w = 0`` the step is the identity.
+    ``x`` is one state or a ``(k, n)`` stack with one finite real ``w`` per
+    row (else ValueError); a row with ``w = 0`` is left as it is. ``work``
+    is a ``gauss_seidel_work`` of A and ``ux`` is ``U x`` of x's shape (else
+    ValueError); either is made here when not given. Per block row, one
+    product with the solved columns updates every row's right-hand side.
     """
-    x = check_state(sys, x)
-    if omega == 0.0:
-        return x.copy()
+    x = check_state(sys, x, stacked=True)
+    ws = np.asarray(omega).reshape(-1).tolist()
+    if len(ws) != x.size // sys.n:
+        raise ValueError(f"omega has {len(ws)} entries for {x.size // sys.n} states")
+    for v in ws:
+        if type(v) is not float or not math.isfinite(v):
+            checked_real("omega", v, -math.inf, math.inf)
+    if 0 in ws:  # such a row stays as it is
+        out = gauss_seidel_sr_step(sys, x, [v or 1.0 for v in ws], ux=ux, work=work)
+        return np.where(np.reshape(ws, (-1, 1)) == 0, x, out).reshape(x.shape)
     if work is None:
-        work = gauss_seidel_work(sys)
+        work = gauss_seidel_work(sys, len(ws))
     if ux is None:
-        ux = upper_product(work, x)
+        ux = upper_product(sys, work, x)
     elif getattr(ux, "shape", None) != x.shape and np.shape(ux) != x.shape:
         raise ValueError(f"dimension mismatch: x has shape {x.shape}, ux has shape {np.shape(ux)}")
     d = sys.diag
-    rhs = ((1.0 - omega) / omega) * d * x + sys.b - ux
-    diagonal = work.reshape(-1)[:: sys.n + 1]
-    np.divide(d, omega, out=diagonal)
-    # The transpose of work.T's upper triangle is D/w + L.
-    out = dtrsv(work.T, rhs, lower=0, trans=1, overwrite_x=1)
-    diagonal.fill(0.0)
-    return out
+    rhs = np.array([(1.0 - v) / v for v in ws])[:, None] * d * x + sys.b - ux
+    for s, e, block in work:
+        if s:  # the columns before the block hold the solved x'
+            rhs[:, s:e] -= rhs[:, :s] @ sys.a[s:e, :s].T
+        diagonal = block.reshape(-1)[:: e - s + 1]
+        for i, v in enumerate(ws):  # block.T's upper triangle, transposed, is D/w + L
+            np.divide(d[s:e], v, out=diagonal)
+            dtrsv(block.T, rhs[i, s:e], lower=0, trans=1, overwrite_x=1)
+        diagonal.fill(0.0)
+    return rhs.reshape(x.shape)
 
 
 def explicit_operator(

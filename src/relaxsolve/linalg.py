@@ -117,14 +117,14 @@ def checked_int(name: str, value, lo: int, hi: int | None = None):
     return value
 
 
-def check_state(sys: LinearSystem, x) -> np.ndarray:
-    """``x`` as a float64 array; ValueError if complex or its shape is not ``(sys.n,)``."""
+def check_state(sys: LinearSystem, x, *, stacked: bool = False) -> np.ndarray:
+    """``x`` as float64; ValueError if complex or not shaped ``(n,)`` (or ``(k, n)`` if ``stacked``)."""
     x = np.asarray(x)
     if x.dtype is not _FLOAT64:  # a float64 state passes uncopied and unchecked
         if np.iscomplexobj(x):
             raise ValueError("x must be real, got complex entries")
         x = x.astype(np.float64)
-    if x.shape != sys.b.shape:
+    if x.shape[-1:] != sys.b.shape or x.ndim > 1 + stacked:
         raise ValueError(
             f"dimension mismatch: system has n={sys.n}, x has shape {x.shape}"
         )

@@ -304,7 +304,7 @@ def test_out_of_memory_while_generating_exits_2(tmp_path, capsys, monkeypatch, c
 
 
 def test_out_of_memory_while_solving_exits_2(capsys, monkeypatch):
-    def no_memory(sys_):
+    def no_memory(sys_, slots):
         raise MemoryError()
 
     monkeypatch.setattr("relaxsolve.evolution.gauss_seidel_work", no_memory)

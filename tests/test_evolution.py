@@ -331,7 +331,7 @@ def _evaluated_population(sys_, states, omegas):
 
 def _work(sys_, variant):
     """The ``work`` a run of ``variant`` passes its mutation: its copy of A, or None."""
-    return gauss_seidel_work(sys_) if variant.method == "gauss_seidel" else None
+    return gauss_seidel_work(sys_, 2) if variant.method == "gauss_seidel" else None
 
 
 def test_recombine_identity_matrix_keeps_states():
@@ -374,6 +374,16 @@ def test_recombine_rejects_bad_matrix():
             recombine(pop, np.array(bad))
 
 
+def test_recombine_refuses_arrays_that_disagree_on_the_slot_count():
+    # Two states beside one omega came back as a population; three product
+    # rows for two states ended in numpy's "shapes not aligned".
+    cases = [Population(np.ones((2, 2)), None, np.array([0.5])),
+             Population(np.ones((2, 2)), None, np.array([0.5, 1.5]), np.ones((3, 2)))]
+    for pop in cases:
+        with pytest.raises(ValueError, match="^population arrays disagree on the slot count$"):
+            recombine(pop, np.eye(2))
+
+
 # ---------------------------------------------------------------- mutation
 
 def test_mutation_matches_single_sweep():
@@ -387,7 +397,7 @@ def test_mutation_matches_single_sweep():
         (sys30, states30, np.linspace(0.2, 1.8, 8).tolist()),
     ):
         pop = _evaluated_population(sys_, states, omegas)
-        work = gauss_seidel_work(sys_)
+        work = gauss_seidel_work(sys_, len(states))
         out_j = mutate_and_evaluate(pop, sys_, None)
         out_g = mutate_and_evaluate(pop, sys_, work)
         for i, omega in enumerate(omegas):
@@ -405,7 +415,7 @@ def test_mutation_matches_single_sweep():
             )
             # The slot-wide derived fitness is bit for bit the per-slot formula.
             derived = ((1.0 - omega) / omega) * sys_.diag * (x - x_new) + (
-                upper_product(work, x_new) - upper_product(work, x)
+                upper_product(sys_, work, x_new) - upper_product(sys_, work, x)
             )
             assert out_g.fitness[i] == vector_norm(derived)
 
@@ -418,7 +428,7 @@ def test_derived_gauss_seidel_fitness_matches_direct_residual(pid):
     rng = np.random.default_rng(17)
     omegas = np.array([0.3, 0.9, 1.0, 1.5, 1.9])
     pop = Population(rng.uniform(-30.0, 30.0, size=(5, 30)), None, omegas)
-    work = gauss_seidel_work(sys_)
+    work = gauss_seidel_work(sys_, len(omegas))
     for round_ in range(3):
         out = mutate_and_evaluate(pop, sys_, work)
         carried = pop.products
@@ -444,7 +454,7 @@ def test_mutation_equal_states_different_omegas_diverge():
 def test_mutation_fixed_point_at_solution():
     x_star = np.array([1.0, 1.0])
     pop = _evaluated_population(SYS2, [x_star, x_star], [0.5, 1.5])
-    out = mutate_and_evaluate(pop, SYS2, gauss_seidel_work(SYS2))
+    out = mutate_and_evaluate(pop, SYS2, gauss_seidel_work(SYS2, 2))
     assert np.allclose(out.states, [x_star, x_star], atol=1e-12)
     assert np.all(out.fitness <= 1e-12)
 
@@ -645,15 +655,15 @@ def test_carried_products_match_recomputation(variant, n_pop):
             assert pop.fitness.tolist() == [np.linalg.norm(p - sys_.b) for p in pop.products]
         pop = select_and_reproduce(pop)
         check(pop, scale)
-    if work is not None:
-        assert not np.diagonal(work).any()  # every step zeroes what it wrote
+    if work is not None:  # every step zeroes what it wrote
+        assert not any(np.diagonal(block).any() for *_, block in work)
 
 
 def test_shared_product_needs_carried_jacobi_products():
     pop = _evaluated_population(SYS2, [[0.0, 0.0], [0.0, 0.0]], [0.5, 1.5])
     with pytest.raises(ValueError, match="shared"):
         mutate_and_evaluate(pop, SYS2, None, shared=True)
-    work = gauss_seidel_work(SYS2)
+    work = gauss_seidel_work(SYS2, 2)
     pop = mutate_and_evaluate(pop, SYS2, work)
     with pytest.raises(ValueError, match="shared"):
         mutate_and_evaluate(pop, SYS2, work, shared=True)

@@ -4,12 +4,15 @@ import pytest
 from relaxsolve import (
     FAMILY_IDS,
     LinearSystem,
+    SolverConfig,
     explicit_operator,
     family_spec,
     gauss_seidel_sr_step,
     generate_problem,
     jacobi_sr_step,
+    run_solver,
 )
+from relaxsolve.iteration import gauss_seidel_work, upper_product
 
 EPS = np.finfo(np.float64).eps
 
@@ -159,6 +162,92 @@ def test_steps_reject_a_carried_product_of_the_wrong_shape(step, name, product):
     # A sequence of x's shape is still taken.
     x = np.zeros(2)
     assert np.array_equal(step(SYS2, x, 1.0, **{name: [0.0, 0.0]}), step(SYS2, x, 1.0))
+
+
+@pytest.mark.parametrize("omega", [1j, np.complex128(0.5 + 1j), np.nan, np.inf, -np.inf, "1"])
+@pytest.mark.parametrize("step", [jacobi_sr_step, gauss_seidel_sr_step])
+def test_steps_refuse_an_omega_that_is_not_a_finite_real(step, omega):
+    # A complex factor made a complex state, a NaN or infinite one a NaN state.
+    with pytest.raises(ValueError, match="^omega must "):
+        step(SYS2, np.zeros(2), omega)
+    if step is gauss_seidel_sr_step:  # each row of a stack is checked
+        with pytest.raises(ValueError, match="^omega must "):
+            step(SYS2, np.zeros((2, 2)), np.array([1.0, omega], dtype=object))
+    # Other real numbers are taken as they are.
+    assert np.array_equal(step(SYS2, np.zeros(2), 1), step(SYS2, np.zeros(2), 1.0))
+    assert np.array_equal(step(SYS2, np.zeros(2), np.float64(0.5)), step(SYS2, np.zeros(2), 0.5))
+
+
+def test_stacked_gs_step_takes_one_omega_per_row():
+    x = np.array([[0.0, 0.0], [1.0, 2.0]])
+    for omega in ([1.0], [1.0, 1.0, 1.0], 1.0):
+        with pytest.raises(ValueError, match="^omega has "):
+            gauss_seidel_sr_step(SYS2, x, omega)
+    # A row with w = 0 stays as it is, the other row is swept.
+    out = gauss_seidel_sr_step(SYS2, x, [0.0, 1.5])
+    assert np.array_equal(out[0], x[0])
+    assert np.array_equal(out[1], gauss_seidel_sr_step(SYS2, x[1], 1.5))
+
+
+def _stack(n, seed, k=2):
+    sys_ = generate_problem(family_spec("P6", n, seed))
+    x = np.random.default_rng(seed).uniform(-30.0, 30.0, size=(k, n))
+    return sys_, x, np.linspace(0.6, 1.4, k)
+
+
+def test_blocked_gs_kernels_match_the_dense_operator():
+    # At n = 600 two slots sweep in blocks of 256, 256 and 88 rows.
+    sys_, x, omegas = _stack(600, 3)
+    work = gauss_seidel_work(sys_, 2)
+    assert [(s, e) for s, e, _ in work] == [(0, 256), (256, 512), (512, 600)]
+    out = gauss_seidel_sr_step(sys_, x, omegas, work=work)
+    upper = np.triu(sys_.a, 1)
+    # Measured at most 6.5e-16 (max abs difference over max abs) at n = 1000;
+    # the bound is that of the n-term sums the kernels and the oracle take.
+    bound = sys_.n * EPS
+    for row, x_row, omega in zip(out, x, omegas):
+        op = explicit_operator(sys_, omega, "gauss_seidel")
+        want = op.h @ x_row + op.v
+        assert np.max(np.abs(row - want)) <= bound * np.max(np.abs(want))
+    got, want = upper_product(sys_, work, out), out @ upper.T
+    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+    # The work's diagonals are zero again after the step.
+    assert not any(np.diagonal(block).any() for *_, block in work)
+
+
+@pytest.mark.parametrize("n, k", [(30, 2), (256, 2), (256, 5), (600, 1)])
+def test_one_block_sweeps_equal_per_slot_calls_bit_for_bit(n, k):
+    # One slot at any n, and any stack at n <= 256, runs as one block,
+    # with the same calls as one slot at a time.
+    sys_, x, omegas = _stack(n, 5, k)
+    work = gauss_seidel_work(sys_, k)
+    assert len(work) == 1
+    ux = upper_product(sys_, work, x)
+    out = gauss_seidel_sr_step(sys_, x, omegas, ux=ux, work=work)
+    for i, omega in enumerate(omegas):
+        assert upper_product(sys_, gauss_seidel_work(sys_, 1), x[i]).tobytes() == ux[i].tobytes()
+        assert gauss_seidel_sr_step(sys_, x[i], omega).tobytes() == out[i].tobytes()
+
+
+@pytest.mark.parametrize("variant", ["GSBTVA", "MGSBTVA"])
+def test_blocked_gauss_seidel_runs_converge(variant):
+    # Both slots sweep in blocks at n = 600; the run's answer must pass the
+    # benchmark's check: a residual below the threshold that final_residual
+    # states within the rounding of a computed residual, and a state within
+    # ||A^-1|| (r + r*) of LAPACK's answer.
+    sys_ = generate_problem(family_spec("P6", 600, 1))
+    assert len(gauss_seidel_work(sys_, 2)) == 3
+    res = run_solver(sys_, SolverConfig(variant=variant, seed=7))
+    assert res.converged
+    a, b, x = sys_.a, sys_.b, res.best_state
+    r = np.linalg.norm(a @ x - b)
+    assert r < 1e-7
+    assert abs(r - res.final_residual) <= (sys_.n + 1) * EPS * (
+        np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b)
+    )
+    x_star = np.linalg.solve(a, b)
+    r_star = np.linalg.norm(a @ x_star - b)
+    assert np.linalg.norm(x - x_star) <= np.linalg.norm(np.linalg.inv(a)) * (r + r_star) * (1 + 1e-9)
 
 
 def test_unknown_method_rejected():

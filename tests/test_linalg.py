@@ -104,16 +104,24 @@ def test_frozen_row_major_matrix_is_kept_and_any_other_copied():
 
 
 def test_triangle_decomposition_reconstructs_exactly():
-    # The Gauss-Seidel work copy holds both strict triangles and a zero
-    # diagonal, row-major like every generated A.
+    # The Gauss-Seidel work holds A's diagonal blocks, both strict triangles
+    # and a zero diagonal each, row-major like every generated A. One block
+    # is all of A: for one slot, and for any number of slots at small n.
     p7 = generate_problem(family_spec("P7", 9, 0))
     for pid in FAMILY_IDS:
         assert generate_problem(family_spec(pid, 9, 0)).a.flags.c_contiguous, pid
-    for sys_ in (_random_dominant(9, seed=11), p7):
-        work = gauss_seidel_work(sys_)
-        assert work.flags.c_contiguous and work.flags.writeable
-        assert np.all(np.diagonal(work) == 0.0)
-        assert np.array_equal(np.diag(sys_.diag) + work, sys_.a)
+    big = _random_dominant(600, seed=12)
+    for sys_, slots, starts in ((_random_dominant(9, seed=11), 1, [0]), (p7, 2, [0]),
+                                (big, 1, [0]), (big, 2, [0, 256, 512])):
+        work = gauss_seidel_work(sys_, slots)
+        assert [start for start, _, _ in work] == starts
+        assert [end for _, end, _ in work] == starts[1:] + [sys_.n]
+        for start, end, block in work:
+            assert block.shape == (end - start, end - start)
+            assert block.flags.c_contiguous and block.flags.writeable
+            assert np.all(np.diagonal(block) == 0.0)
+            reconstructed = np.diag(sys_.diag[start:end]) + block
+            assert np.array_equal(reconstructed, sys_.a[start:end, start:end])
 
 
 def test_residual_norm_rejects_wrong_length_state():

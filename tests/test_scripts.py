@@ -6,7 +6,9 @@ tests. Each demo plan runs in-process through ``relaxsolve bench``, whose
 summary lines are the plan's findings.
 """
 
+import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,3 +71,29 @@ def test_outcome_grid_counts_its_runs(monkeypatch, capsys):
     assert len(environment) == 1 and environment[0].startswith("numpy ")
     assert "OPENBLAS_NUM_THREADS=" in environment[0]
     assert counts == "126 runs: converged=106 capped=0 diverged=20"
+
+
+# The fields a different BLAS build may move: only their bits depend on it.
+BUILD_FREE = ("problem_hash", "generations", "converged", "diverged")
+
+
+def test_outcome_grid_matches_its_committed_fixture():
+    # tests/outcome_grid.txt is the default grid (seeds 1 and 2), first line
+    # the BLAS line the script prints. On the BLAS build named there every
+    # field of every run must match; on another, the bits of residuals,
+    # traces and states may differ, so only the outcome fields are compared.
+    lines = (ROOT / "tests" / "outcome_grid.txt").read_text(encoding="utf-8").splitlines()
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "outcome_grid.py")],
+                          capture_output=True, text=True, timeout=60, check=True)
+    blas = proc.stderr.splitlines()[0]
+    fields = None if blas == lines[0] else BUILD_FREE
+    if fields:
+        print(f"outcome grid: bits not compared, BLAS line {blas!r} is not the fixture's")
+    want = [json.loads(line) for line in lines[1:]]
+    got = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(got) == len(want)
+    moved = [
+        f"{w['problem']} n={w['n']} seed={w['seed']} {w['variant']}: {key} {w[key]!r} -> {g[key]!r}"
+        for w, g in zip(want, got) for key in fields or w if repr(g.get(key)) != repr(w[key])
+    ]
+    assert not moved, ("bits not compared; " if fields else "") + "moved:\n" + "\n".join(moved)
