@@ -39,6 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .iteration import (
+    OMEGA_HI,
+    OMEGA_LO,
     gauss_seidel_sr_step,
     gauss_seidel_work,
     jacobi_sr_step,
@@ -73,10 +75,7 @@ E_X = 0.125
 E_Y = 0.03125
 LAM = 50.0
 
-# All relaxation factors live in the open interval (OMEGA_LO, OMEGA_HI);
-# adapted ones are clamped OMEGA_MARGIN inside it.
-OMEGA_LO = 0.0
-OMEGA_HI = 2.0
+# Adapted relaxation factors are clamped this far inside (OMEGA_LO, OMEGA_HI).
 OMEGA_MARGIN = 1e-6
 
 # Standard deviation of the Gaussian noise behind the adaptation steps.
@@ -141,9 +140,6 @@ class SolverConfig:
         checked_real("threshold", self.threshold, 0.0, math.inf)
         checked_int("max_generations", self.max_generations, 0)
         checked_int("seed", self.seed, 0, U64_LIMIT)
-        # Neither relaxed sweep converges for a factor outside (0, 2): SOR
-        # by Kahan's bound, JOR because the eigenvalues of its iteration
-        # matrix I - w D^-1 A average 1 - w.
         checked_real("fixed_omega", self.fixed_omega, OMEGA_LO, OMEGA_HI)
 
 

@@ -1,9 +1,9 @@
 """Single relaxed Jacobi and Gauss-Seidel iteration steps.
 
-Both steps damp the classical update with a relaxation factor ``omega``:
-at ``omega = 1`` they reduce to textbook Jacobi / Gauss-Seidel, at
-``omega = 0`` to the identity. Jacobi is computed in residual-correction
-form, ``x + omega ((b - A x) / D)``. ``explicit_operator`` builds the dense
+Both steps damp the classical update with a relaxation factor ``omega`` in
+(0, 2), and refuse any other: at ``omega = 1`` they reduce to textbook
+Jacobi / Gauss-Seidel. Jacobi is computed in residual-correction form,
+``x + omega ((b - A x) / D)``. ``explicit_operator`` builds the dense
 affine operator ``x -> H x + v`` realized by each step; it exists as a
 small-n equivalence oracle and is not used on hot paths.
 
@@ -17,7 +17,6 @@ states and read each block row of A once for all of them.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +34,12 @@ __all__ = [
     "upper_product",
 ]
 
+
+# Neither relaxed sweep converges for a factor outside (OMEGA_LO, OMEGA_HI):
+# SOR by Kahan's bound, JOR because the eigenvalues of its iteration matrix
+# I - w D^-1 A average 1 - w.
+OMEGA_LO = 0.0
+OMEGA_HI = 2.0
 
 # More than one state at n >= BLOCKED_FROM sweeps in blocks of BLOCK_ROWS rows.
 BLOCKED_FROM = 500
@@ -57,11 +62,11 @@ def jacobi_sr_step(
     for every component at once, computed as ``x + w ((b - A x) / D)``.
     ``ax`` is ``A x`` of x's shape (else ValueError) if the caller
     already has it; without it the step computes it. ValueError unless
-    omega is a finite real number.
+    omega is a real number in (0, 2).
     """
     x = check_state(sys, x)
-    if type(omega) is not float or not math.isfinite(omega):
-        checked_real("omega", omega, -math.inf, math.inf)
+    if type(omega) is not float or not OMEGA_LO < omega < OMEGA_HI:
+        checked_real("omega", omega, OMEGA_LO, OMEGA_HI)
     if ax is None:
         ax = sys.a @ x
     elif getattr(ax, "shape", None) != x.shape and np.shape(ax) != x.shape:
@@ -87,8 +92,11 @@ def gauss_seidel_work(sys: LinearSystem, slots: int) -> list[tuple[int, int, np.
 
 
 def upper_product(sys: LinearSystem, work: list, x: np.ndarray) -> np.ndarray:
-    """``U x``, U the strict upper triangle of A, for x or each row of a stack x."""
-    out = np.array(x, dtype=np.float64)
+    """``U x``, U the strict upper triangle of A, for x or each row of a stack x.
+
+    ValueError unless ``gauss_seidel_sr_step`` would take x.
+    """
+    out = check_state(sys, x, stacked=True).copy()
     rows = out.reshape(-1, sys.n)
     for s, e, block in work:  # block.T's lower triangle is U's block, transposed
         for i in range(len(rows)):
@@ -112,22 +120,19 @@ def gauss_seidel_sr_step(
     (b_i - sum_{j<i} a_ij x'_j - sum_{j>i} a_ij x_j)`` for i = 1..n in
     order, as the forward substitution
     ``(D/w + L) x' = ((1-w)/w) D x + b - U x``. No inverse is formed.
-    ``x`` is one state or a ``(k, n)`` stack with one finite real ``w`` per
-    row (else ValueError); a row with ``w = 0`` is left as it is. ``work``
-    is a ``gauss_seidel_work`` of A and ``ux`` is ``U x`` of x's shape (else
-    ValueError); either is made here when not given. Per block row, one
-    product with the solved columns updates every row's right-hand side.
+    ``x`` is one state or a ``(k, n)`` stack with one real ``w`` in (0, 2)
+    per row (else ValueError). ``work`` is a ``gauss_seidel_work`` of A and
+    ``ux`` is ``U x`` of x's shape (else ValueError); either is made here
+    when not given. Per block row, one product with the solved columns
+    updates every row's right-hand side.
     """
     x = check_state(sys, x, stacked=True)
     ws = np.asarray(omega).reshape(-1).tolist()
     if len(ws) != x.size // sys.n:
         raise ValueError(f"omega has {len(ws)} entries for {x.size // sys.n} states")
     for v in ws:
-        if type(v) is not float or not math.isfinite(v):
-            checked_real("omega", v, -math.inf, math.inf)
-    if 0 in ws:  # such a row stays as it is
-        out = gauss_seidel_sr_step(sys, x, [v or 1.0 for v in ws], ux=ux, work=work)
-        return np.where(np.reshape(ws, (-1, 1)) == 0, x, out).reshape(x.shape)
+        if type(v) is not float or not OMEGA_LO < v < OMEGA_HI:
+            checked_real("omega", v, OMEGA_LO, OMEGA_HI)
     if work is None:
         work = gauss_seidel_work(sys, len(ws))
     if ux is None:
@@ -147,20 +152,18 @@ def gauss_seidel_sr_step(
     return rhs.reshape(x.shape)
 
 
-def explicit_operator(
-    sys: LinearSystem, omega: float, method: str
-) -> IterationOperator:
+def explicit_operator(sys: LinearSystem, omega: float, method: str) -> IterationOperator:
     """Dense ``(h, v)`` with ``step(x) == h @ x + v`` for the given method.
 
     For ``jacobi``: ``h = (1-w) I - w D^{-1}(L+U)``, ``v = w D^{-1} b``.
     For ``gauss_seidel``: ``h = (I + w D^{-1}L)^{-1}{(1-w) I - w D^{-1}U}``
     and ``v = w (I + w D^{-1}L)^{-1} D^{-1} b``, with the triangular
-    inverse applied by forward substitution. Intended for n up to a few
-    hundred; use the sweep functions everywhere else.
+    inverse applied by forward substitution. ValueError unless w is a real
+    number in (0, 2). Intended for n up to a few hundred.
     """
-    n = sys.n
+    checked_real("omega", omega, OMEGA_LO, OMEGA_HI)
     d = sys.diag[:, None]
-    eye = np.eye(n)
+    eye = np.eye(sys.n)
     lower = np.tril(sys.a, -1)
     upper = np.triu(sys.a, 1)
     v = omega * sys.b / sys.diag

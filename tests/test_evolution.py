@@ -958,18 +958,10 @@ def test_final_residual_is_direct_residual_of_best_state(
 
 # (generations, converged, diverged) per variant, in Variant order, at
 # seed 1 for both the instance and the run. Only integers and booleans
-# are pinned, so the outcomes hold across BLAS builds.
+# are pinned, so the outcomes hold across BLAS builds. The committed
+# outcome grid (tests/outcome_grid.txt) pins every family at n = 30 and
+# 200 at the default cap; this case pins a run that the cap ends.
 GOLDEN_OUTCOMES = {
-    ("P1", 30, 10000): [(17, True, False), (12, True, False), (18, True, False),
-                        (12, True, False), (15, True, False), (10, True, False)],
-    ("P3", 30, 10000): [(78, True, False), (67, True, False), (72, True, False),
-                        (106, True, False), (69, True, False), (36, True, False)],
-    ("P6", 30, 10000): [(10, True, False), (9, True, False), (10, True, False),
-                        (9, True, False), (7, True, False), (6, True, False)],
-    ("P7", 30, 10000): [(34, True, False), (14, True, False), (24, True, False),
-                        (14, True, False), (119, True, False), (13, True, False)],
-    ("P5", 200, 10000): [(133, False, True), (75, False, True), (128, False, True),
-                         (80, False, True), (44, False, True), (20, False, True)],
     ("P3", 30, 20): [(20, False, False)] * 6,
 }
 

@@ -3,6 +3,7 @@ import pytest
 
 from relaxsolve import (
     FAMILY_IDS,
+    OMEGA_MARGIN,
     LinearSystem,
     SolverConfig,
     explicit_operator,
@@ -12,7 +13,7 @@ from relaxsolve import (
     jacobi_sr_step,
     run_solver,
 )
-from relaxsolve.iteration import gauss_seidel_work, upper_product
+from relaxsolve.iteration import OMEGA_HI, OMEGA_LO, gauss_seidel_work, upper_product
 
 EPS = np.finfo(np.float64).eps
 
@@ -40,12 +41,6 @@ def test_jacobi_step_omega_one_from_zero():
     assert np.allclose(jacobi_sr_step(SYS2, np.zeros(2), 1.0), [1.5, 1.5], atol=1e-15)
 
 
-def test_jacobi_step_omega_zero_is_identity():
-    sys_, rng = _random_system(7, seed=5)
-    x = rng.normal(size=7)
-    assert np.array_equal(jacobi_sr_step(sys_, x, 0.0), x)
-
-
 def test_jacobi_step_relaxed_hand_value():
     got = jacobi_sr_step(SYS2, np.array([1.5, 1.5]), 1.5)
     assert np.allclose(got, [0.375, 0.375], atol=1e-15)
@@ -66,12 +61,6 @@ def test_gs_step_forward_sweep_hand_value():
     assert np.allclose(
         gauss_seidel_sr_step(SYS2, np.zeros(2), 1.0), [1.5, 0.75], atol=1e-15
     )
-
-
-def test_gs_step_omega_zero_is_identity():
-    sys_, rng = _random_system(6, seed=9)
-    x = rng.normal(size=6)
-    assert np.allclose(gauss_seidel_sr_step(sys_, x, 0.0), x, atol=1e-15)
 
 
 @pytest.mark.parametrize("omega", [0.3, 1.0, 1.7])
@@ -100,14 +89,6 @@ def test_explicit_operator_jacobi_hand_value():
     op = explicit_operator(SYS2, 1.0, "jacobi")
     assert np.allclose(op.h, [[0.0, -0.5], [-0.5, 0.0]], atol=1e-15)
     assert np.allclose(op.v, [1.5, 1.5], atol=1e-15)
-
-
-@pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
-def test_explicit_operator_identity_at_omega_zero(method):
-    sys_, _ = _random_system(5, seed=2)
-    op = explicit_operator(sys_, 0.0, method)
-    assert np.allclose(op.h, np.eye(5), atol=1e-14)
-    assert np.allclose(op.v, np.zeros(5), atol=1e-14)
 
 
 def test_sweep_equals_operator_over_random_draws():
@@ -153,6 +134,21 @@ def test_steps_reject_wrong_length_state(step):
         step(SYS2, np.ones(3), 1.0)
 
 
+@pytest.mark.parametrize("x, message", [
+    (np.arange(4.0), "^dimension mismatch"),
+    (np.zeros((2, 1, 2)), "^dimension mismatch"),
+    (np.array([1.0 + 1j, 0.0]), "^x must be real"),
+    (np.zeros(3), "^dimension mismatch"),
+], ids=["length-4", "three-dim", "complex", "length-3"])
+def test_upper_product_checks_x_as_the_sweep_does(x, message):
+    # A length-2k vector is not a stack of k states, and a complex x is not
+    # cast to its real part.
+    with pytest.raises(ValueError, match=message):
+        upper_product(SYS2, gauss_seidel_work(SYS2, 1), x)
+    with pytest.raises(ValueError, match=message):
+        gauss_seidel_sr_step(SYS2, x, 1.0)
+
+
 @pytest.mark.parametrize("product", [np.array([5.0]), 5.0, [5.0, 5.0, 5.0], np.ones((2, 1))])
 @pytest.mark.parametrize("step, name", [(jacobi_sr_step, "ax"), (gauss_seidel_sr_step, "ux")])
 def test_steps_reject_a_carried_product_of_the_wrong_shape(step, name, product):
@@ -164,10 +160,15 @@ def test_steps_reject_a_carried_product_of_the_wrong_shape(step, name, product):
     assert np.array_equal(step(SYS2, x, 1.0, **{name: [0.0, 0.0]}), step(SYS2, x, 1.0))
 
 
-@pytest.mark.parametrize("omega", [1j, np.complex128(0.5 + 1j), np.nan, np.inf, -np.inf, "1"])
+# Not a finite real number, or outside the open interval (0, 2).
+REFUSED_OMEGAS = [1j, np.complex128(0.5 + 1j), np.nan, np.inf, -np.inf, "1", 0.0, -0.5, 2.0, 2.5]
+
+
+@pytest.mark.parametrize("omega", REFUSED_OMEGAS)
 @pytest.mark.parametrize("step", [jacobi_sr_step, gauss_seidel_sr_step])
 def test_steps_refuse_an_omega_that_is_not_a_finite_real(step, omega):
-    # A complex factor made a complex state, a NaN or infinite one a NaN state.
+    # A complex factor makes a complex state, a NaN or infinite one a NaN
+    # state, and outside (0, 2) neither sweep converges.
     with pytest.raises(ValueError, match="^omega must "):
         step(SYS2, np.zeros(2), omega)
     if step is gauss_seidel_sr_step:  # each row of a stack is checked
@@ -178,15 +179,41 @@ def test_steps_refuse_an_omega_that_is_not_a_finite_real(step, omega):
     assert np.array_equal(step(SYS2, np.zeros(2), np.float64(0.5)), step(SYS2, np.zeros(2), 0.5))
 
 
+@pytest.mark.parametrize("omega", REFUSED_OMEGAS)
+@pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
+def test_explicit_operator_refuses_what_the_steps_refuse(method, omega):
+    # The operator is the step's, so it takes the step's factors only.
+    with pytest.raises(ValueError, match="^omega must "):
+        explicit_operator(SYS2, omega, method)
+
+
+@pytest.mark.parametrize("omega", REFUSED_OMEGAS)
+def test_fixed_omega_refuses_what_the_steps_refuse(omega):
+    with pytest.raises(ValueError, match="^fixed_omega must "):
+        SolverConfig("FIXED_GS_SR", fixed_omega=omega)
+
+
+def test_steps_take_the_adaptation_clamps_extremes():
+    # run_solver clamps adapted factors OMEGA_MARGIN inside (0, 2).
+    lo, hi = OMEGA_LO + OMEGA_MARGIN, OMEGA_HI - OMEGA_MARGIN
+    assert (lo, hi) == (1e-6, 2.0 - 1e-6)
+    sys_, rng = _random_system(6, seed=9)
+    x = rng.normal(size=(2, 6))
+    for omega in (lo, hi):
+        for method, step in (("jacobi", jacobi_sr_step), ("gauss_seidel", gauss_seidel_sr_step)):
+            op = explicit_operator(sys_, omega, method)
+            assert np.max(np.abs(step(sys_, x[0], omega) - (op.h @ x[0] + op.v))) <= 1e-12
+    # Each row of a stack is swept as a single state at its own factor.
+    out = gauss_seidel_sr_step(sys_, x, [lo, hi])
+    assert np.array_equal(out[0], gauss_seidel_sr_step(sys_, x[0], lo))
+    assert np.array_equal(out[1], gauss_seidel_sr_step(sys_, x[1], hi))
+
+
 def test_stacked_gs_step_takes_one_omega_per_row():
     x = np.array([[0.0, 0.0], [1.0, 2.0]])
     for omega in ([1.0], [1.0, 1.0, 1.0], 1.0):
         with pytest.raises(ValueError, match="^omega has "):
             gauss_seidel_sr_step(SYS2, x, omega)
-    # A row with w = 0 stays as it is, the other row is swept.
-    out = gauss_seidel_sr_step(SYS2, x, [0.0, 1.5])
-    assert np.array_equal(out[0], x[0])
-    assert np.array_equal(out[1], gauss_seidel_sr_step(SYS2, x[1], 1.5))
 
 
 def _stack(n, seed, k=2):

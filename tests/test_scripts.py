@@ -59,20 +59,6 @@ def test_family_plan_prints_one_line_per_family_in_plan_order(tmp_path, capsys):
     assert all(" runs=3 " in line for line in lines)
 
 
-def test_outcome_grid_counts_its_runs(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends its --src
-    grid = runpy.run_path(str(ROOT / "scripts" / "outcome_grid.py"))
-    assert grid["main"](["--seeds", "1"]) == 0
-    out, err = capsys.readouterr()
-    assert len(out.splitlines()) == 126
-    # main() runs in-process and leaves the BLAS threads as they are; it
-    # names numpy, its BLAS and the thread variables before the counts.
-    *environment, counts = err.splitlines()
-    assert len(environment) == 1 and environment[0].startswith("numpy ")
-    assert "OPENBLAS_NUM_THREADS=" in environment[0]
-    assert counts == "126 runs: converged=106 capped=0 diverged=20"
-
-
 # The fields a different BLAS build may move: only their bits depend on it.
 BUILD_FREE = ("problem_hash", "generations", "converged", "diverged")
 
@@ -83,9 +69,12 @@ def test_outcome_grid_matches_its_committed_fixture():
     # field of every run must match; on another, the bits of residuals,
     # traces and states may differ, so only the outcome fields are compared.
     lines = (ROOT / "tests" / "outcome_grid.txt").read_text(encoding="utf-8").splitlines()
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "outcome_grid.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "outcome_grid.py"),
+                           "--seeds", "1,2"],
                           capture_output=True, text=True, timeout=60, check=True)
-    blas = proc.stderr.splitlines()[0]
+    # stderr names numpy, its BLAS and the thread variables, then the counts.
+    blas, counts = proc.stderr.splitlines()
+    assert blas.startswith("numpy ") and "OPENBLAS_NUM_THREADS=" in blas
     fields = None if blas == lines[0] else BUILD_FREE
     if fields:
         print(f"outcome grid: bits not compared, BLAS line {blas!r} is not the fixture's")
@@ -97,3 +86,5 @@ def test_outcome_grid_matches_its_committed_fixture():
         for w, g in zip(want, got) for key in fields or w if repr(g.get(key)) != repr(w[key])
     ]
     assert not moved, ("bits not compared; " if fields else "") + "moved:\n" + "\n".join(moved)
+    # The script's own tally of the runs, which the fixture's lines agree with.
+    assert counts == "252 runs: converged=207 capped=0 diverged=45"
