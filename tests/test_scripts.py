@@ -59,6 +59,20 @@ def test_family_plan_prints_one_line_per_family_in_plan_order(tmp_path, capsys):
     assert all(" runs=3 " in line for line in lines)
 
 
+def test_outcome_grid_counts_its_runs(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends its --src
+    grid = runpy.run_path(str(ROOT / "scripts" / "outcome_grid.py"))
+    assert grid["main"](["--seeds", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 126
+    # main() runs in-process and leaves the BLAS threads as they are; it
+    # names numpy, its BLAS and the thread variables before the counts.
+    *environment, counts = err.splitlines()
+    assert len(environment) == 1 and environment[0].startswith("numpy ")
+    assert "OPENBLAS_NUM_THREADS=" in environment[0]
+    assert counts == "126 runs: converged=106 capped=0 diverged=20"
+
+
 # The fields a different BLAS build may move: only their bits depend on it.
 BUILD_FREE = ("problem_hash", "generations", "converged", "diverged")
 
