@@ -203,9 +203,7 @@ def init_relaxation_factors(n_pop: int) -> np.ndarray:
     ``OMEGA_LO + d/2, OMEGA_LO + 3d/2, ...``; all lie strictly inside the
     interval.
     """
-    if n_pop < 1:
-        raise ValueError("n_pop must be at least 1")
-    d = (OMEGA_HI - OMEGA_LO) / n_pop
+    d = (OMEGA_HI - OMEGA_LO) / checked_int("n_pop", n_pop, 1)
     return OMEGA_LO + d * (np.arange(n_pop) + 0.5)
 
 
@@ -237,8 +235,8 @@ def basic_time_variant(t: int) -> float:
     Strictly decreasing in the generation counter ``t``, tending to zero;
     ``LAM > 10`` keeps it below 1 already at ``t = 0``.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative, got {t!r}")
     return LAM * math.log1p(1.0 / (t + LAM))
 
 
@@ -260,12 +258,14 @@ def adapt_pair_from_steps(
     lower). Errors rank as in selection: a NaN error loses to every
     number, inf included. Equal errors, and two NaN errors, leave both
     factors untouched. Results are clamped ``OMEGA_MARGIN`` inside the open
-    interval.
+    interval, infinite steps included; a NaN step is a ValueError.
 
     ``p_pull`` is signed; ``p_push`` is expected nonnegative. Tests
     inject the steps directly; ``adapt_pair`` derives them from Gaussian
     noise and the time-variant decay.
     """
+    if p_pull != p_pull or p_push != p_push:
+        raise ValueError(f"{'p_pull' if p_pull != p_pull else 'p_push'} must not be NaN")
     if err_x == err_y or math.isnan(err_x) and math.isnan(err_y):
         return omega_x, omega_y
     lo = OMEGA_LO + OMEGA_MARGIN
@@ -303,8 +303,8 @@ def adapt_pair(
     ``t``, and applies ``adapt_pair_from_steps``. The two come from one
     size-2 draw, which yields the same values as two scalar draws.
     """
+    t_omega = basic_time_variant(t)  # before the draw: a refused t draws nothing
     g_pull, g_push = rng.normal(0.0, NOISE_SD, size=2).tolist()
-    t_omega = basic_time_variant(t)
     p_pull = E_X * g_pull * t_omega
     p_push = E_Y * abs(g_push) * t_omega
     return adapt_pair_from_steps(omega_x, omega_y, err_x, err_y, p_pull, p_push)
@@ -312,8 +312,8 @@ def adapt_pair(
 
 def make_stochastic_matrix(n_pop: int, rng: np.random.Generator) -> np.ndarray:
     """Random row-stochastic matrix: uniform [0, 1) entries, rows normalized."""
-    if n_pop < 1:
-        raise ValueError("n_pop must be at least 1")
+    if type(n_pop) is not int or n_pop < 1:  # runs every recombining generation
+        checked_int("n_pop", n_pop, 1)
     r = rng.random((n_pop, n_pop))
     return r / np.add.reduce(r, axis=1, keepdims=True)
 
