@@ -53,8 +53,8 @@ def main():
 
     os.makedirs(OUT_DIR, exist_ok=True)
     path = os.path.join(OUT_DIR, "p1_adaptive.svg")
-    with open(path, "w") as fh:
-        emit_trace_svg(traces, fh, title="P1 n=200, self-adaptive variants")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(emit_trace_svg(traces, title="P1 n=200, self-adaptive variants"))
     print(f"residual traces written to {path}")
 
 

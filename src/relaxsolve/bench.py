@@ -3,8 +3,8 @@
 Runs every (problem, variant, repetition) combination of a plan with
 deterministically derived seeds, shares one generated system instance
 per (problem, repetition) across all variants so paired comparisons see
-identical data, and serializes results to CSV and residual-trace SVG
-charts. ``mix_seed`` XORs the plan's base seed with the FNV-1a hash of
+identical data, and renders results as CSV and residual-trace SVG text.
+``mix_seed`` XORs the plan's base seed with the FNV-1a hash of
 a text label, so results are invariant under reordering of the plan.
 """
 
@@ -64,15 +64,15 @@ _FNV_PRIME = 0x100000001B3
 def mix_seed(base_seed: int, label: str) -> int:
     """Derive a run/instance seed: ``base_seed`` XOR FNV-1a of ``label``.
 
-    The hash is 64-bit FNV-1a of the label's UTF-8 bytes, and the seed is
-    masked to 64 bits. Labels look like ``"P1|JBTVA|3"`` (run seeds) or
+    The hash is 64-bit FNV-1a of the label's UTF-8 bytes and ``base_seed`` is
+    an unsigned 64-bit integer. Labels look like ``"P1|JBTVA|3"`` (run seeds) or
     ``"P1|instance|3"`` (instance seeds), making every derived seed a pure
     function of the base seed, problem id, variant id, and repetition index.
     """
     h = _FNV_OFFSET
     for byte in label.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & (U64_LIMIT - 1)
-    return (base_seed ^ h) & (U64_LIMIT - 1)
+    return checked_int("base_seed", base_seed, 0, U64_LIMIT) ^ h
 
 
 def problem_hash(sys: LinearSystem) -> int:
@@ -218,46 +218,45 @@ def _csv_fields(row: BenchRow) -> list[str]:
             "true" if row.converged else "false", f"{row.problem_hash:016x}"]
 
 
-def write_csv(rows: Iterable[BenchRow], sink) -> None:
-    """Write the fixed-schema CSV: exact header, LF newlines.
+def write_csv(rows: Iterable[BenchRow]) -> str:
+    """The fixed-schema CSV text of ``rows``: exact header, LF newlines.
 
     Reals use ``repr`` (shortest decimal that round-trips to the same
     float64), booleans are ``true``/``false``, the hash is 16 lowercase
-    hex digits.
+    hex digits. Only ``relaxsolve.cli`` opens files.
     """
-    sink.write(CSV_HEADER + "\n")
-    for row in rows:
-        sink.write(",".join(_csv_fields(row)) + "\n")
+    return "\n".join([CSV_HEADER] + [",".join(_csv_fields(row)) for row in rows]) + "\n"
 
 
-def read_csv(source) -> list[BenchRow]:
-    """Parse ``write_csv`` output back into rows; reject any it cannot write.
+def read_csv(text: str) -> list[BenchRow]:
+    """Parse ``write_csv`` text back into rows; reject any line it cannot write.
 
-    Each column of a comma-split line is converted, ``BenchRow`` judges the
-    values, and a line is kept only if ``write_csv`` writes its row as it.
+    Lines end at LF only, so a CRLF line is refused. Each comma-split line's
+    columns are converted, ``BenchRow`` judges the values, and a line is kept
+    only if ``write_csv`` writes its row as it. Only ``relaxsolve.cli`` opens files.
     """
-    lines = iter(source)
-    header = next(lines, "").rstrip("\n").split(",")
+    first, *lines = text.removesuffix("\n").split("\n")
+    header = first.split(",")
     if header != CSV_HEADER.split(","):
-        raise ValueError(f"unexpected CSV header: {','.join(header)!r}")
+        raise ValueError(f"unexpected CSV header: {first!r}")
     rows = []
     for lineno, line in enumerate(lines, start=2):
-        rec = line.rstrip("\n").split(",")
+        rec = line.split(",")
         if len(rec) != 8:
             raise ValueError(f"line {lineno}: expected 8 fields, got {len(rec)}")
         values = []
-        for name, kind, text in zip(header, _CSV_TYPES, rec):
+        for name, kind, field in zip(header, _CSV_TYPES, rec):
             try:
-                values.append(kind(text))
+                values.append(kind(field))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {name}: {exc}") from None
         try:
             row = BenchRow(*values)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        for name, text, written in zip(header, rec, _csv_fields(row)):
-            if text != written:
-                raise ValueError(f"line {lineno}: {name} {text!r} is written {written!r}")
+        for name, field, written in zip(header, rec, _csv_fields(row)):
+            if field != written:
+                raise ValueError(f"line {lineno}: {name} {field!r} is written {written!r}")
         rows.append(row)
     return rows
 
@@ -313,16 +312,15 @@ def _svg_element(tag: str, text: str | None = None, /, **attrs: object) -> str:
     return head + "/>" if text is None else f"{head}>{html.escape(text, quote=False)}</{tag}>"
 
 
-def emit_trace_svg(
-    traces: Mapping[str, Sequence[tuple[int, float]]], sink, title: str = ""
-) -> None:
-    """Write a standalone SVG chart of residual norm versus generation.
+def emit_trace_svg(traces: Mapping[str, Sequence[tuple[int, float]]], title: str = "") -> str:
+    """The text of a standalone SVG chart of residual norm versus generation.
 
     ``traces`` maps a label to a list of ``(generation, residual)`` pairs;
     each trace becomes one polyline on a log10 residual axis (zero
     residuals are clamped to 1e-16 for display), with a swatch legend in
     the mapping's order. Non-finite residuals are left out of the y axis
     range and of the polylines. An empty mapping or trace is an error.
+    Only ``relaxsolve.cli`` opens files.
     """
     items = [(str(label), list(pts)) for label, pts in traces.items()]
     if not items:
@@ -390,7 +388,7 @@ def emit_trace_svg(
             _svg_element("rect", x=_ML + plot_w - 120, y=ly, width=10, height=10, fill=color),
             _svg_element("text", label, x=_ML + plot_w - 105, y=ly + 9, font_size=11),
         ]
-    sink.write("\n".join(out) + "\n</svg>\n")
+    return "\n".join(out) + "\n</svg>\n"
 
 
 def _comma_list(text: str) -> list[str]:

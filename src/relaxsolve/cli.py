@@ -1,5 +1,5 @@
 """Command-line interface: solve one system, run a benchmark plan, or
-materialize a benchmark problem to a file.
+materialize a benchmark problem to a file; the only module that opens files.
 
 Exit codes: 0 success, 1 solver did not converge (results are still
 printed), 2 usage, parse or out-of-memory error, 3 I/O error.
@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import os
 import sys
-from typing import Callable, Iterator, NoReturn, TextIO
+from typing import Callable, Iterator, NoReturn
 
 from .bench import (
     emit_trace_svg,
@@ -171,12 +170,10 @@ def _writing(where: str) -> Iterator[None]:
         _fail(f"cannot write {where}: {exc.strerror or exc}", 3)
 
 
-def _write(path: str, render: Callable[[TextIO], None], where: str = "") -> None:
-    """Render one output completely in memory, then write it to ``path``."""
-    buf = io.StringIO()
-    render(buf)
+def _write(path: str, text: str, where: str = "") -> None:
+    """Write one output's full ``text`` to ``path``: only ``cli`` opens files."""
     with _writing(where or path), open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(text)
 
 
 @contextlib.contextmanager
@@ -213,9 +210,8 @@ def _cmd_solve(args) -> int:
         f"final_residual={result.final_residual!r}"
     )
     if args.trace:
-        traces = {args.variant: result.trace}
-        title = f"{spec.id} (n={spec.n})"
-        _write(args.trace, lambda fh: emit_trace_svg(traces, fh, title=title))
+        svg = emit_trace_svg({args.variant: result.trace}, title=f"{spec.id} (n={spec.n})")
+        _write(args.trace, svg)
     return 0 if result.converged else 1
 
 
@@ -229,14 +225,14 @@ def _cmd_bench(args) -> int:
 
     with _memory_guard(args.plan, max(spec.n for spec in plan.problems)):
         rows = run_benchmark(plan, on_result=collect)
-    _write(args.out, lambda fh: write_csv(rows, fh))
+    _write(args.out, write_csv(rows))
     if args.traces:
         where = f"traces to {args.traces}"
         with _writing(where):
             os.makedirs(args.traces, exist_ok=True)
         for pid, by_variant in traces.items():
             path = os.path.join(args.traces, f"{pid}.svg")
-            _write(path, lambda fh: emit_trace_svg(by_variant, fh, title=pid), where)
+            _write(path, emit_trace_svg(by_variant, title=pid), where)
 
     for s in summarize(rows):
         line = (f"{s.problem_id} {s.variant}: runs={s.runs} converged={s.converged} "
@@ -254,17 +250,15 @@ def _cmd_generate(args) -> int:
         spec = family_spec(args.problem, args.n, args.seed)
     except ValueError as exc:
         _option_error(exc)
-
-    def render(fh):
-        fh.write(render_problem_spec(spec))
-        fh.write(f"# generated entries for {spec.id}, n={spec.n}, seed={spec.seed}\n")
-        for i, row in enumerate(system.a, start=1):
-            fh.write(f"# A[{i}] = {' '.join(repr(float(v)) for v in row)}\n")
-        fh.write(f"# b = {' '.join(repr(float(v)) for v in system.b)}\n")
-
     with _memory_guard(args.problem, spec.n):
         system = generate_problem(spec)
-        _write(args.out, render)
+        _write(args.out, "".join([
+            render_problem_spec(spec),
+            f"# generated entries for {spec.id}, n={spec.n}, seed={spec.seed}\n",
+            *(f"# A[{i}] = {' '.join(repr(float(v)) for v in row)}\n"
+              for i, row in enumerate(system.a, start=1)),
+            f"# b = {' '.join(repr(float(v)) for v in system.b)}\n",
+        ]))
     print(f"wrote {spec.id} (n={spec.n}, seed={spec.seed}) to {args.out}")
     return 0
 

@@ -258,12 +258,17 @@ def adapt_pair_from_steps(
     lower). Errors rank as in selection: a NaN error loses to every
     number, inf included. Equal errors, and two NaN errors, leave both
     factors untouched. Results are clamped ``OMEGA_MARGIN`` inside the open
-    interval, infinite steps included; a NaN step is a ValueError.
+    interval, infinite steps included; a NaN step, or a factor outside
+    (``OMEGA_LO``, ``OMEGA_HI``), is a ValueError.
 
     ``p_pull`` is signed; ``p_push`` is expected nonnegative. Tests
     inject the steps directly; ``adapt_pair`` derives them from Gaussian
     noise and the time-variant decay.
     """
+    if not (type(omega_x) is type(omega_y) is float
+            and OMEGA_LO < omega_x < OMEGA_HI and OMEGA_LO < omega_y < OMEGA_HI):
+        checked_real("omega_x", omega_x, OMEGA_LO, OMEGA_HI)
+        checked_real("omega_y", omega_y, OMEGA_LO, OMEGA_HI)
     if p_pull != p_pull or p_push != p_push:
         raise ValueError(f"{'p_pull' if p_pull != p_pull else 'p_push'} must not be NaN")
     if err_x == err_y or math.isnan(err_x) and math.isnan(err_y):

@@ -6,7 +6,6 @@ asserts, so a failing criterion is both visible in the log and fails
 the suite.
 """
 
-import io
 import time
 
 import numpy as np
@@ -305,14 +304,12 @@ def test_criterion_8_invariant_suite():
 
 def test_criterion_9_csv_round_trip_and_schema(p1_bench):
     rows, by_variant, _ = p1_bench
-    buf = io.StringIO()
-    write_csv(rows, buf)
-    text = buf.getvalue()
+    text = write_csv(rows)
     header_ok = text.splitlines()[0] == (
         "problem,variant,seed,generations,elapsed_ms,final_residual,"
         "converged,problem_hash"
     ) and text.splitlines()[0] == CSV_HEADER
-    round_trip_ok = read_csv(io.StringIO(text)) == rows
+    round_trip_ok = read_csv(text) == rows
     shared = True
     for r in range(N_SEEDS):
         hashes = {by_variant[v.value][r].problem_hash for v in ADAPTIVE}

@@ -1,6 +1,6 @@
 import hashlib
-import io
 import math
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -66,6 +66,14 @@ def test_mix_seed_properties():
     assert mix_seed(5, "P1|JBTVA|0") != mix_seed(5, "P1|JBTVA|1")
     assert mix_seed(5, "P1|JBTVA|0") != mix_seed(5, "P1|MJBTVA|0")
     assert 0 <= mix_seed(2**64 - 1, "anything") < 2**64
+
+
+@pytest.mark.parametrize("base_seed", [-1, 2**64 + 5, True, 1.5])
+def test_mix_seed_refuses_a_base_seed_outside_u64(base_seed):
+    # None is an unsigned 64-bit integer: masking or XOR would alias it to a valid seed.
+    with pytest.raises(ValueError, match="^base_seed must be an integer from 0 to "
+                                         f"{2**64 - 1}, got {re.escape(repr(base_seed))}$"):
+        mix_seed(base_seed, "P1|JBTVA|0")
 
 
 def test_problem_hash_is_content_sensitive():
@@ -225,16 +233,12 @@ def test_csv_header_is_bit_exact():
         CSV_HEADER
         == "problem,variant,seed,generations,elapsed_ms,final_residual,converged,problem_hash"
     )
-    buf = io.StringIO()
-    write_csv([], buf)
-    assert buf.getvalue() == CSV_HEADER + "\n"
+    assert write_csv([]) == CSV_HEADER + "\n"
 
 
 def test_csv_one_row_two_lines_lf_only():
     row = BenchRow("P1", "JBTVA", 7, 58, 406.25, 9.5e-8, True, 0xDEADBEEF)
-    buf = io.StringIO()
-    write_csv([row], buf)
-    text = buf.getvalue()
+    text = write_csv([row])
     assert text.count("\n") == 2 and "\r" not in text
     assert text.splitlines()[1] == (
         "P1,JBTVA,7,58,406.25,9.5e-08,true,00000000deadbeef"
@@ -247,30 +251,24 @@ def test_csv_round_trip_exact():
         BenchRow("custom", "MGSBTVA", 0, 0, 0.0, 123.45678901234567, False, 0),
         BenchRow("P9", "GSBTVA", 17, 10000, 7547.25, 1e-300, False, 0xABC),
     ]
-    buf = io.StringIO()
-    write_csv(rows, buf)
-    assert read_csv(io.StringIO(buf.getvalue())) == rows
+    assert read_csv(write_csv(rows)) == rows
 
 
 def test_csv_round_trip_of_real_runs():
     rows = run_benchmark(_small_plan(repetitions=2))
-    buf = io.StringIO()
-    write_csv(rows, buf)
-    assert read_csv(io.StringIO(buf.getvalue())) == rows
+    assert read_csv(write_csv(rows)) == rows
 
 
 def test_read_csv_rejects_malformed_input():
     with pytest.raises(ValueError):
-        read_csv(io.StringIO(""))
-    with pytest.raises(ValueError):
-        read_csv(io.StringIO("wrong,header\n"))
+        read_csv("wrong,header\n")
     good = CSV_HEADER + "\n"
     with pytest.raises(ValueError):
-        read_csv(io.StringIO(good + "P1,JBTVA,1,2,3.0\n"))
+        read_csv(good + "P1,JBTVA,1,2,3.0\n")
     with pytest.raises(ValueError):
-        read_csv(io.StringIO(good + "P1,JBTVA,1,2,3.0,4.0,maybe,00000000000000ff\n"))
+        read_csv(good + "P1,JBTVA,1,2,3.0,4.0,maybe,00000000000000ff\n")
     with pytest.raises(ValueError):
-        read_csv(io.StringIO(good + "P1,JBTVA,x,2,3.0,4.0,true,00000000000000ff\n"))
+        read_csv(good + "P1,JBTVA,x,2,3.0,4.0,true,00000000000000ff\n")
     # Every row write_csv cannot write is refused at its line and column,
     # including values that convert but that write_csv would spell otherwise.
     ok = ["P1", "JBTVA", "5", "3", "1.0", "2.0", "true", "00000000000000ff"]
@@ -285,14 +283,35 @@ def test_read_csv_rejects_malformed_input():
     ]:
         rec = ok[:k] + [bad] + ok[k + 1:]
         with pytest.raises(ValueError, match="^line 3: " + CSV_HEADER.split(",")[k]):
-            read_csv(io.StringIO(good + ",".join(ok) + "\n" + ",".join(rec) + "\n"))
+            read_csv(good + ",".join(ok) + "\n" + ",".join(rec) + "\n")
     with pytest.raises(ValueError, match="^line 2: seed"):
-        read_csv(io.StringIO(good + "P1,NOPE,-5,-3,nan,-1,true,-AB\n"))
-    with pytest.raises(ValueError, match="^line 3: expected 8 fields, got 1$"):
-        read_csv(io.StringIO(good + ",".join(ok) + "\n\n"))
-    assert read_csv(io.StringIO(good + ",".join(ok) + "\n")) == [
+        read_csv(good + "P1,NOPE,-5,-3,nan,-1,true,-AB\n")
+    assert read_csv(good + ",".join(ok) + "\n") == [
         BenchRow("P1", "JBTVA", 5, 3, 1.0, 2.0, True, 0xFF)
     ]
+
+
+_ROW_LINE = "P1,JBTVA,5,3,1.0,2.0,true,00000000000000ff"
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("", "unexpected CSV header: ''"),
+    ("\n", "unexpected CSV header: ''"),
+    (CSV_HEADER, []),
+    (CSV_HEADER + "\n" + _ROW_LINE, [BenchRow("P1", "JBTVA", 5, 3, 1.0, 2.0, True, 0xFF)]),
+    (CSV_HEADER + "\n" + _ROW_LINE + "\n\n", "line 3: expected 8 fields, got 1"),
+    (CSV_HEADER + "\n" + _ROW_LINE + "\r\n",
+     "line 2: problem_hash '00000000000000ff\\r' is written '00000000000000ff'"),
+    (CSV_HEADER + "\r\n", f"unexpected CSV header: '{CSV_HEADER}\\r'"),
+])
+def test_read_csv_ends_lines_at_lf_only(text, expected):
+    # A line ends at "\n" alone: the last line needs none, a blank line is a
+    # line, and a "\r" stays in its field, which is then refused.
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match="^" + re.escape(expected) + "$"):
+            read_csv(text)
+    else:
+        assert read_csv(text) == expected
 
 
 @pytest.mark.parametrize(
@@ -324,9 +343,9 @@ def test_read_csv_refuses_quoted_fields():
     # write_csv never quotes a field, so a quoted one is no line it writes.
     text = CSV_HEADER + '\n"P1",JBTVA,5,3,1.0,2.0,true,00000000000000ff\n'
     with pytest.raises(ValueError, match="^line 2: problem_id .* got '\"P1\"'$"):
-        read_csv(io.StringIO(text))
+        read_csv(text)
     with pytest.raises(ValueError, match="^line 2: variant"):
-        read_csv(io.StringIO(CSV_HEADER + '\nP1,"JBTVA",5,3,1.0,2.0,true,00000000000000ff\n'))
+        read_csv(CSV_HEADER + '\nP1,"JBTVA",5,3,1.0,2.0,true,00000000000000ff\n')
 
 
 _CSV_IDS = st.sampled_from(FAMILY_IDS + ("custom",))
@@ -342,11 +361,8 @@ _REALS = st.one_of(st.floats(), st.sampled_from(
                           _REALS, _REALS, st.booleans(), _U64S), max_size=4))
 def test_csv_text_round_trips(rows):
     # Text is compared because a NaN row never equals itself.
-    first = io.StringIO()
-    write_csv(rows, first)
-    second = io.StringIO()
-    write_csv(read_csv(io.StringIO(first.getvalue())), second)
-    assert second.getvalue() == first.getvalue()
+    text = write_csv(rows)
+    assert write_csv(read_csv(text)) == text
 
 
 def test_summarize_counts_endings_and_medians_over_converged_runs():
@@ -392,29 +408,24 @@ def _svg_counts(text):
 
 
 def test_svg_single_trace_single_polyline():
-    buf = io.StringIO()
-    emit_trace_svg({"residual": [(0, 100.0), (1, 10.0)]}, buf)
-    polylines, legend, texts = _svg_counts(buf.getvalue())
+    svg = emit_trace_svg({"residual": [(0, 100.0), (1, 10.0)]})
+    polylines, legend, texts = _svg_counts(svg)
     assert len(polylines) == 1
     assert "generation" in texts and "log10 residual" in texts
 
 
 def test_svg_two_labeled_traces_two_polylines_and_legend():
-    buf = io.StringIO()
-    emit_trace_svg(
-        {"JBTVA": [(0, 100.0), (1, 10.0)], "MJBTVA": [(0, 90.0), (1, 12.0)]}, buf
-    )
-    polylines, legend, texts = _svg_counts(buf.getvalue())
+    svg = emit_trace_svg({"JBTVA": [(0, 100.0), (1, 10.0)], "MJBTVA": [(0, 90.0), (1, 12.0)]})
+    polylines, legend, texts = _svg_counts(svg)
     assert len(polylines) == 2
     assert len(legend) == 2
     assert "JBTVA" in texts and "MJBTVA" in texts
 
 
 def test_svg_clamps_zero_residuals():
-    buf = io.StringIO()
-    emit_trace_svg({"residual": [(0, 1.0), (1, 0.0)]}, buf)
-    ET.fromstring(buf.getvalue())
-    assert "points=" in buf.getvalue()
+    svg = emit_trace_svg({"residual": [(0, 1.0), (1, 0.0)]})
+    ET.fromstring(svg)
+    assert "points=" in svg
 
 
 def _polyline_points(text):
@@ -423,26 +434,21 @@ def _polyline_points(text):
 
 def test_svg_leaves_non_finite_residuals_out():
     finite = {"a": [(0, 100.0), (1, 10.0), (2, 1.0)]}
-    alone, mixed = io.StringIO(), io.StringIO()
-    emit_trace_svg(finite, alone)
-    emit_trace_svg(
-        {**finite, "b": [(0, 5.0), (1, math.inf)], "c": [(0, math.nan), (1, math.nan)]},
-        mixed,
+    alone = emit_trace_svg(finite)
+    mixed = emit_trace_svg(
+        {**finite, "b": [(0, 5.0), (1, math.inf)], "c": [(0, math.nan), (1, math.nan)]}
     )
-    assert "nan" not in mixed.getvalue() and "inf" not in mixed.getvalue()
-    points = _polyline_points(mixed.getvalue())
-    assert points[0] == _polyline_points(alone.getvalue())[0]
+    assert "nan" not in mixed and "inf" not in mixed
+    points = _polyline_points(mixed)
+    assert points[0] == _polyline_points(alone)[0]
     assert len(points[1].split()) == 1 and points[2] == ""
-    only_nan = io.StringIO()
-    emit_trace_svg({"c": [(0, math.nan)]}, only_nan)
-    assert _polyline_points(only_nan.getvalue()) == [""]
-    assert "nan" not in only_nan.getvalue()
+    only_nan = emit_trace_svg({"c": [(0, math.nan)]})
+    assert _polyline_points(only_nan) == [""]
+    assert "nan" not in only_nan
 
 
 def test_svg_escapes_labels():
-    buf = io.StringIO()
-    emit_trace_svg({"a<&>b": [(0, 1.0), (1, 0.5)]}, buf)
-    root = ET.fromstring(buf.getvalue())
+    root = ET.fromstring(emit_trace_svg({"a<&>b": [(0, 1.0), (1, 0.5)]}))
     texts = [t.text for t in root.iter() if t.tag.endswith("text")]
     assert "a<&>b" in texts
 
@@ -450,21 +456,20 @@ def test_svg_escapes_labels():
 def test_svg_bytes_are_pinned():
     # Every coordinate, number format and element of one chart, as a digest:
     # two traces, an escaped title and label, a zero, an inf and a NaN.
-    buf = io.StringIO()
-    emit_trace_svg(
+    svg = emit_trace_svg(
         {"JBTVA": [(0, 120.0), (1, 3.5), (2, 0.0), (3, math.inf), (4, 2e-9)],
          "a<&>b": [(0, 80.0), (2, math.nan), (4, 1e-3)]},
-        buf, "P1 <&> n=200",
+        "P1 <&> n=200",
     )
-    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    digest = hashlib.sha256(svg.encode()).hexdigest()
     assert digest == "b078f0bb9b197a88c089eae4dd77164a643ffd7e362b11ab32b900dfd9e8a943"
 
 
 def test_svg_empty_trace_rejected():
     with pytest.raises(ValueError):
-        emit_trace_svg({}, io.StringIO())
+        emit_trace_svg({})
     with pytest.raises(ValueError):
-        emit_trace_svg({"x": []}, io.StringIO())
+        emit_trace_svg({"x": []})
 
 
 # -------------------------------------------------------------------- plans

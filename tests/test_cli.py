@@ -187,10 +187,10 @@ def test_files_with_a_byte_order_mark_are_read(tmp_path, capsys):
     by_id = _result_fields(capsys.readouterr().out)
     assert (from_file[0], from_file[2]) == (by_id[0], by_id[2])
     assert main(["bench", "--plan", str(plan), "--out", str(out_csv)]) == 0
-    with open(out_csv, encoding="utf-8") as fh:
-        assert {(r.problem_id, r.variant) for r in read_csv(fh)} == {
-            ("custom", "JBTVA"), ("custom", "MJBTVA"),
-        }
+    rows = read_csv(out_csv.read_text(encoding="utf-8"))
+    assert {(r.problem_id, r.variant) for r in rows} == {
+        ("custom", "JBTVA"), ("custom", "MJBTVA"),
+    }
     assert capsys.readouterr().err == ""
 
 
@@ -324,8 +324,7 @@ def test_bench_end_to_end(tmp_path, capsys):
     )
     stdout = capsys.readouterr().out
     assert code == 0
-    with open(out_csv, encoding="utf-8") as fh:
-        rows = read_csv(fh)
+    rows = read_csv(out_csv.read_text(encoding="utf-8"))
     assert len(rows) == 4
     assert {r.variant for r in rows} == {"JBTVA", "MJBTVA"}
     svg_files = sorted(p.name for p in traces.iterdir())

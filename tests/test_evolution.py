@@ -306,6 +306,20 @@ def test_adapt_refuses_a_nan_step_and_clamps_an_infinite_one():
     assert adapt_pair_from_steps(0.5, 1.5, 2.0, 1.0, -math.inf, math.inf) == (lo, hi)
 
 
+@pytest.mark.parametrize("omegas,name,bad", [
+    ((2.0, 2.0), "omega_x", 2.0),  # on the bound, an infinite push is inf * 0
+    ((5.0, -3.0), "omega_x", 5.0),  # the clamp would hide both
+    ((0.5, 0.0), "omega_y", 0.0),
+    ((0.5, math.nan), "omega_y", math.nan),
+])
+def test_adapt_refuses_a_factor_outside_the_open_interval(omegas, name, bad):
+    pattern = rf"^{name} must lie in the open interval \(0, 2\), got {bad!r}$"
+    with pytest.raises(ValueError, match=pattern):
+        adapt_pair_from_steps(*omegas, 1.0, 9.0, 0.0, math.inf)
+    with pytest.raises(ValueError, match=pattern):
+        adapt_pair_from_steps(*omegas, 1.0, 9.0, 0.0, 0.5)
+
+
 def test_adapt_containment_over_random_draws():
     rng = np.random.default_rng(2024)
     lo = OMEGA_LO + OMEGA_MARGIN

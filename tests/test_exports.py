@@ -86,3 +86,17 @@ def test_every_span_target_is_an_unwrapped_callable(target):
     module, attr, _ = target
     function = getattr(importlib.import_module(module), attr)
     assert callable(function) and not hasattr(function, "__wrapped__")
+
+
+def test_only_cli_opens_files():
+    # Every file format is text in, text out; relaxsolve.cli alone reads and
+    # writes files. Finding cli's own calls shows the search sees a call.
+    openers = {
+        path.stem
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert openers == {"cli"}
+    assert set(LIBRARY) < {path.stem for path in SOURCES}
