@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import html
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import median
 from typing import Callable, Iterable, Mapping, Sequence
@@ -318,9 +319,9 @@ def emit_trace_svg(traces: Mapping[str, Sequence[tuple[int, float]]], title: str
     ``traces`` maps a label to a list of ``(generation, residual)`` pairs;
     each trace becomes one polyline on a log10 residual axis (zero
     residuals are clamped to 1e-16 for display), with a swatch legend in
-    the mapping's order. Non-finite residuals are left out of the y axis
-    range and of the polylines. An empty mapping or trace is an error.
-    Only ``relaxsolve.cli`` opens files.
+    the mapping's order; NaN and infinite residuals are left out. An empty
+    mapping or trace, a non-integer generation and a negative residual are
+    errors. Only ``relaxsolve.cli`` opens files.
     """
     items = [(str(label), list(pts)) for label, pts in traces.items()]
     if not items:
@@ -328,6 +329,9 @@ def emit_trace_svg(traces: Mapping[str, Sequence[tuple[int, float]]], title: str
     for label, pts in items:
         if not pts:
             raise ValueError(f"trace {label!r} is empty")
+        for g, res in pts:
+            if not isinstance(g, numbers.Integral) or res < 0:
+                raise ValueError(f"trace {label!r} has a point no chart can draw: {(g, res)!r}")
     xs_all = [g for _, pts in items for g, _ in pts]
     plotted = [
         [(g, math.log10(max(res, _RESIDUAL_FLOOR)))

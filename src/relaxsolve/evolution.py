@@ -320,7 +320,7 @@ def make_stochastic_matrix(n_pop: int, rng: np.random.Generator) -> np.ndarray:
     if type(n_pop) is not int or n_pop < 1:  # runs every recombining generation
         checked_int("n_pop", n_pop, 1)
     r = rng.random((n_pop, n_pop))
-    return r / np.add.reduce(r, axis=1, keepdims=True)
+    return np.divide(r, np.add.reduce(r, axis=1, keepdims=True), out=r)
 
 
 def recombine(pop: Population, r: np.ndarray) -> Population:
@@ -341,9 +341,9 @@ def recombine(pop: Population, r: np.ndarray) -> Population:
         )
     if len(pop.omegas) != pop.size or pop.products is not None and len(pop.products) != pop.size:
         raise ValueError("population arrays disagree on the slot count")
-    rows = r.tolist()  # a NaN or infinite entry fails its row's sum test
-    if not all(min(row) >= 0.0 and abs(sum(row) - 1.0) <= 1e-12 for row in rows):
-        raise ValueError("matrix rows must be nonnegative and sum to 1 within 1e-12")
+    for row in r.tolist():  # a NaN or infinite entry fails its row's sum test
+        if not (min(row) >= 0.0 and abs(sum(row) - 1.0) <= 1e-12):
+            raise ValueError("matrix rows must be nonnegative and sum to 1 within 1e-12")
     products = None if pop.products is None else r.dot(pop.products)
     return Population(r.dot(pop.states), None, pop.omegas, products)
 
@@ -360,8 +360,9 @@ def mutate_and_evaluate(
     hold one state and product, up to recombination's rounding)
     ``A x' = A x + w A d`` for slot 0's ``d = (b - A x) / D``, one product
     for all. A Gauss-Seidel slot carries ``U x'`` and derives its fitness
-    as ``||((1-w)/w) D (x - x') + (U x' - U x)||`` (w in (0, 2)). Norms are
-    ``linalg.vector_norm``, bit for bit ``np.linalg.norm``. Non-finite
+    as ``||((1-w)/w) D (x - x') + (U x' - U x)||`` (w in (0, 2)). One
+    ``linalg.vector_norm`` of the residual rows gives every fitness, each
+    bit for bit ``np.linalg.norm`` of its row. Non-finite
     states propagate as-is, without warnings; the run loop's divergence
     check deals with them. ValueError unless omegas and carried products
     have one row per state.
@@ -381,19 +382,19 @@ def _sweep_and_evaluate(pop, sys, work, shared):
         slots = zip(pop.states, pop.omegas.tolist(), carried)
         states = np.array([jacobi_sr_step(sys, x, w, ax=ax) for x, w, ax in slots])
         if shared:
-            a_delta = np.dot(sys.a, (sys.b - carried[0]) / sys.diag)
-            products = carried + pop.omegas[:, None] * a_delta
+            products = np.multiply.outer(pop.omegas, sys.a.dot((sys.b - carried[0]) / sys.diag))
+            products += carried
         else:
-            products = np.array([np.dot(sys.a, x) for x in states])
-        fitness = np.array([vector_norm(r) for r in products - sys.b])
-        return Population(states, fitness, pop.omegas, products)
+            products = np.array([sys.a.dot(x) for x in states])
+        return Population(states, vector_norm(products - sys.b), pop.omegas, products)
     x, w = pop.states, pop.omegas
     ux = upper_product(sys, work, x) if pop.products is None else pop.products
     states = gauss_seidel_sr_step(sys, x, w, ux=ux, work=work)
     products = upper_product(sys, work, states)
-    r = ((1.0 - w) / w)[:, None] * sys.diag * (x - states) + (products - ux)
-    fitness = np.array([vector_norm(v) for v in r])
-    return Population(states, fitness, pop.omegas, products)
+    r = x - states
+    r *= np.multiply.outer((1.0 - w) / w, sys.diag)
+    r += products - ux
+    return Population(states, vector_norm(r), pop.omegas, products)
 
 
 def select_and_reproduce(pop: Population) -> Population:
@@ -452,8 +453,8 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
                 pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
             pop = mutate_and_evaluate(pop, sys, work, shared=shared)
             if adaptive:  # one slot has no pair to adapt, nothing to select
-                w, err = pop.omegas.tolist(), pop.fitness.tolist()
-                pop.omegas[:] = adapt_pair(w[0], w[1], err[0], err[1], t - 1, rng)
+                w, f = pop.omegas.tolist(), pop.fitness.tolist()
+                pop.omegas[0], pop.omegas[1] = adapt_pair(w[0], w[1], f[0], f[1], t - 1, rng)
                 pop = select_and_reproduce(pop)
         # After selection slot 0 is best (a fixed run has only slot 0). A derived
         # fitness that would end the run, or a shared one far down, yields to a direct one.
@@ -462,7 +463,7 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
         ends = t == cfg.max_generations or not cfg.threshold <= best <= DIVERGENCE_BOUND
         if shared and (ends or best < REFRESH_RATIO * peak):
             with np.errstate(over="ignore", invalid="ignore"):
-                pop.products[:] = np.dot(sys.a, pop.states[0])  # all slots hold it
+                pop.products[:] = sys.a.dot(pop.states[0])  # all slots hold it
                 best, shared = vector_norm(pop.products[0] - sys.b), False
         elif gauss_seidel and t and ends:
             with np.errstate(over="ignore", invalid="ignore"):

@@ -12,7 +12,8 @@ over from the previous generation: ``A x`` for Jacobi, ``U x`` (U the
 strict upper triangle) for Gauss-Seidel. Given it, a Jacobi step reads
 no matrix, and a Gauss-Seidel step reads only the lower triangle, in a
 forward substitution. The Gauss-Seidel kernels take a ``(k, n)`` stack of
-states and read each block row of A once for all of them.
+states and read each block row of A once for all of them. They pass BLAS
+options by position, which f2py's wrappers parse faster than keywords.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrmv, dtrsv
 
 from .linalg import LinearSystem, check_state, checked_real
 
@@ -71,7 +70,11 @@ def jacobi_sr_step(
         ax = sys.a @ x
     elif getattr(ax, "shape", None) != x.shape and np.shape(ax) != x.shape:
         raise ValueError(f"dimension mismatch: x has shape {x.shape}, ax has shape {np.shape(ax)}")
-    return x + omega * ((sys.b - ax) / sys.diag)
+    t = sys.b - ax
+    t /= sys.diag
+    t *= omega
+    t += x
+    return t
 
 
 def gauss_seidel_work(sys: LinearSystem, slots: int) -> list[tuple[int, int, np.ndarray]]:
@@ -83,6 +86,9 @@ def gauss_seidel_work(sys: LinearSystem, slots: int) -> list[tuple[int, int, np.
     transposes are Fortran operands that the BLAS wrappers take uncopied.
     There is one n-by-n block unless ``slots`` > 1 and n >= ``BLOCKED_FROM``.
     """
+    global dtrmv, dtrsv  # scipy's, loaded once, so a wrapper set on them here stays
+    if "dtrsv" not in globals():
+        from scipy.linalg.blas import dtrmv, dtrsv
     size = BLOCK_ROWS if slots > 1 and sys.n >= BLOCKED_FROM else sys.n
     work = [(s, min(s + size, sys.n), sys.a[s : s + size, s : s + size].copy())
             for s in range(0, sys.n, size)]
@@ -99,8 +105,9 @@ def upper_product(sys: LinearSystem, work: list, x: np.ndarray) -> np.ndarray:
     out = check_state(sys, x, stacked=True).copy()
     rows = out.reshape(-1, sys.n)
     for s, e, block in work:  # block.T's lower triangle is U's block, transposed
-        for i in range(len(rows)):
-            dtrmv(block.T, rows[i, s:e], lower=1, trans=1, overwrite_x=1)
+        block_t = block.T
+        for row in rows:
+            dtrmv(block_t, row[s:e], 0, 1, 1, 1, 0, 1)  # offx incx lower trans diag overwrite_x
         if e < sys.n:  # the columns past the block still hold x
             rows[:, s:e] += rows[:, e:] @ sys.a[s:e, e:].T
     return out
@@ -127,7 +134,8 @@ def gauss_seidel_sr_step(
     updates every row's right-hand side.
     """
     x = check_state(sys, x, stacked=True)
-    ws = np.asarray(omega).reshape(-1).tolist()
+    ws = (omega if type(omega) is np.ndarray and omega.ndim == 1 and omega.dtype == np.float64
+          else np.asarray(omega).reshape(-1)).tolist()
     if len(ws) != x.size // sys.n:
         raise ValueError(f"omega has {len(ws)} entries for {x.size // sys.n} states")
     for v in ws:
@@ -139,15 +147,17 @@ def gauss_seidel_sr_step(
         ux = upper_product(sys, work, x)
     elif getattr(ux, "shape", None) != x.shape and np.shape(ux) != x.shape:
         raise ValueError(f"dimension mismatch: x has shape {x.shape}, ux has shape {np.shape(ux)}")
-    d = sys.diag
-    rhs = np.array([(1.0 - v) / v for v in ws])[:, None] * d * x + sys.b - ux
+    rhs = np.multiply.outer([(1.0 - v) / v for v in ws], sys.diag)
+    rhs *= x
+    rhs += sys.b
+    rhs -= ux
     for s, e, block in work:
         if s:  # the columns before the block hold the solved x'
             rhs[:, s:e] -= rhs[:, :s] @ sys.a[s:e, :s].T
-        diagonal = block.reshape(-1)[:: e - s + 1]
+        block_t, diagonal, d = block.T, block.reshape(-1)[:: e - s + 1], sys.diag[s:e]
         for i, v in enumerate(ws):  # block.T's upper triangle, transposed, is D/w + L
-            np.divide(d[s:e], v, out=diagonal)
-            dtrsv(block.T, rhs[i, s:e], lower=0, trans=1, overwrite_x=1)
+            np.divide(d, v, out=diagonal)
+            dtrsv(block_t, rhs[i, s:e], 1, 0, 0, 1, 0, 1)  # incx offx lower trans diag overwrite_x
         diagonal.fill(0.0)
     return rhs.reshape(x.shape)
 
@@ -162,6 +172,7 @@ def explicit_operator(sys: LinearSystem, omega: float, method: str) -> Iteration
     number in (0, 2). Intended for n up to a few hundred.
     """
     checked_real("omega", omega, OMEGA_LO, OMEGA_HI)
+    from scipy.linalg import solve_triangular
     d = sys.diag[:, None]
     eye = np.eye(sys.n)
     lower = np.tril(sys.a, -1)

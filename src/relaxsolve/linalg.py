@@ -131,12 +131,14 @@ def check_state(sys: LinearSystem, x, *, stacked: bool = False) -> np.ndarray:
     return x
 
 
-def vector_norm(v: np.ndarray) -> float:
-    """Bit for bit ``np.linalg.norm(v)`` of a contiguous 1-D float64 vector.
+def vector_norm(v: np.ndarray) -> float | np.ndarray:
+    """Norm of a contiguous float64 vector (a float) or of each row of a ``(k, n)`` stack.
 
-    Same ``v.dot(v)``, same correctly rounded square root, no dispatch.
+    Each is bit for bit ``np.linalg.norm`` of its vector: the same BLAS
+    dot product (``np.vecdot`` runs one per row), the same correctly
+    rounded square root, no dispatch.
     """
-    return math.sqrt(v.dot(v))
+    return math.sqrt(v.dot(v)) if v.ndim == 1 else np.sqrt(np.vecdot(v, v))
 
 
 def residual_norm(sys: LinearSystem, x: np.ndarray) -> float:

@@ -465,6 +465,14 @@ def test_svg_bytes_are_pinned():
     assert digest == "b078f0bb9b197a88c089eae4dd77164a643ffd7e362b11ab32b900dfd9e8a943"
 
 
+@pytest.mark.parametrize("point", [(math.inf, 1.0), (1.5, 2.0), (1, -1.0)])
+def test_svg_rejects_points_no_chart_can_draw(point):
+    # A generation that is not an integer has no x position; a residual
+    # below 0 is no norm, and no log axis shows it.
+    with pytest.raises(ValueError, match=r"^trace 'x<y' has a point no chart can draw"):
+        emit_trace_svg({"ok": [(0, 1.0)], "x<y": [(0, 2.0), point]})
+
+
 def test_svg_empty_trace_rejected():
     with pytest.raises(ValueError):
         emit_trace_svg({})

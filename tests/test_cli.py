@@ -454,3 +454,21 @@ def test_import_loads_no_network_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_only_gauss_seidel_loads_scipy(tmp_path):
+    # scipy.linalg is most of a CLI call's start-up; a Jacobi solve and
+    # generate need none of it, a Gauss-Seidel sweep needs its BLAS kernels.
+    out = str(tmp_path / "p1.spec")
+    code = (
+        "import sys, relaxsolve\n"
+        "from relaxsolve.cli import main\n"
+        "main(['solve', '--problem', 'P1', '--n', '20', '--variant', 'MJBTVA'])\n"
+        f"main(['generate', '--problem', 'P1', '--n', '20', '--out', {out!r}])\n"
+        "loaded = ['scipy.linalg' in sys.modules]\n"
+        "main(['solve', '--problem', 'P1', '--n', '20', '--variant', 'MGSBTVA'])\n"
+        "print(loaded + ['scipy.linalg' in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, True]"

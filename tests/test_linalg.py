@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -173,8 +175,10 @@ def test_vector_norm_equals_numpy_norm_bit_for_bit(v):
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.linalg.norm(v)
         got = vector_norm(v)
+        rows = vector_norm(np.stack([v, v]))
     assert type(got) is float
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert rows.tobytes() == np.array([want, want]).tobytes()
 
 
 def test_vector_norm_equals_numpy_norm_on_long_vectors():
@@ -183,6 +187,19 @@ def test_vector_norm_equals_numpy_norm_on_long_vectors():
     for n in range(0, 600, 7):
         v = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
         assert vector_norm(v) == np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 200, 257, 1000])
+def test_vector_norm_of_a_stack_is_each_rows_norm_bit_for_bit(n):
+    # Rows scaled from 1e-150 to 1e150, then one holding inf and one NaN.
+    rng = np.random.default_rng(n)
+    scales = 10.0 ** np.arange(-150, 151, 25)
+    v = rng.standard_normal((len(scales) + 2, n)) * np.append(scales, [1.0, 1.0])[:, None]
+    v[-2, n // 2], v[-1, n - 1] = np.inf, np.nan
+    got = vector_norm(v)
+    assert got.shape == (len(v),)
+    assert got.tobytes() == np.array([math.sqrt(row.dot(row)) for row in v]).tobytes()
+    assert np.isinf(got[-2]) and np.isnan(got[-1])
 
 
 # Every bounded integer field: a constructor that sets it, and its range
