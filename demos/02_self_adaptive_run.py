@@ -1,8 +1,8 @@
 """Self-adaptive relaxation factors on a 200-unknown benchmark system.
 
 Runs all four hybrid variants on the P1 family (uniform off-diagonals,
-constant dominant diagonal), prints how far each population's relaxation
-factors drifted from their evenly spaced starting values, checks the best
+constant dominant diagonal), prints how far each pair's relaxation factors
+drifted from their starting midpoints 0.5 and 1.5, checks the best
 state against Gaussian elimination, and writes a shared residual-trace SVG.
 """
 
@@ -28,9 +28,9 @@ def main():
     spec = family_spec("P1", 200, seed=0)
     system = generate_problem(spec)
     truth = np.linalg.solve(system.a, system.b)
-    start = init_relaxation_factors(2)
-    print(f"problem P1, n={system.n}; population of 2, factors start at "
-          f"{np.round(start, 3).tolist()}")
+    start = init_relaxation_factors()
+    print(f"problem P1, n={system.n}; a pair of slots, factors start at "
+          f"{start.tolist()}, the midpoints of the halves of (0, 2)")
     print()
 
     traces = {}

@@ -5,7 +5,7 @@ optional recombination through a random row-stochastic matrix, mutation
 (one relaxed Jacobi or Gauss-Seidel sweep per individual, each with its
 own slot-resident relaxation factor), fitness evaluation (residual norm),
 pairwise stochastic adaptation of the relaxation factors with a step size
-that decays over generations, and truncation selection with duplication.
+that decays over generations, and selection of the better slot into both.
 
 The four adaptive variants evolve two slots and differ only in the
 mutation sweep (Jacobi vs Gauss-Seidel) and in whether the recombination
@@ -144,7 +144,7 @@ class SolverConfig:
 
 
 class Population(NamedTuple):
-    """N population slots: states, their fitnesses, slot-resident omegas.
+    """A run's slots, an adaptive pair or one fixed slot: states, fitnesses, omegas.
 
     A ``NamedTuple``, which builds in half a dataclass's time: its fields
     stay bound, but its arrays are mutable. ``run_solver`` writes adapted
@@ -196,15 +196,9 @@ class RunResult:
     recombine_calls: int
 
 
-def init_relaxation_factors(n_pop: int) -> np.ndarray:
-    """Evenly spaced midpoint factors covering the open omega interval.
-
-    With spacing ``d = (OMEGA_HI - OMEGA_LO) / n_pop`` the factors are
-    ``OMEGA_LO + d/2, OMEGA_LO + 3d/2, ...``; all lie strictly inside the
-    interval.
-    """
-    d = (OMEGA_HI - OMEGA_LO) / checked_int("n_pop", n_pop, 1)
-    return OMEGA_LO + d * (np.arange(n_pop) + 0.5)
+def init_relaxation_factors() -> np.ndarray:
+    """The pair's starting factors 0.5 and 1.5: the midpoints of the omega interval's halves."""
+    return OMEGA_LO + (OMEGA_HI - OMEGA_LO) * np.array([0.25, 0.75])
 
 
 def init_population(
@@ -212,11 +206,11 @@ def init_population(
 ) -> Population:
     """The evaluated generation-0 population of a run.
 
-    Adaptive variants get two states drawn uniformly from
-    ``[INIT_LO, INIT_HI)``, with midpoint omegas. Fixed variants get
-    one slot at the zero vector with omega ``cfg.fixed_omega``, draw
-    nothing and take no product: ``A 0`` and ``U 0`` are exactly 0, the
-    residual ``||b||``. An overflowed residual is kept as inf or nan.
+    Adaptive variants get a pair of states drawn uniformly from
+    ``[INIT_LO, INIT_HI)`` under ``init_relaxation_factors()``. Fixed
+    variants get one slot at the zero vector with omega ``cfg.fixed_omega``,
+    draw nothing and take no product: ``A 0`` and ``U 0`` are exactly 0,
+    the residual ``||b||``. An overflowed residual is kept as inf or nan.
     """
     if cfg.variant.is_fixed:
         omegas = np.array([cfg.fixed_omega], dtype=np.float64)
@@ -226,7 +220,7 @@ def init_population(
     states = rng.uniform(INIT_LO, INIT_HI, size=(2, sys.n))
     with np.errstate(over="ignore", invalid="ignore"):
         fitness = np.array([residual_norm(sys, s) for s in states])
-    return Population(states, fitness, init_relaxation_factors(2))
+    return Population(states, fitness, init_relaxation_factors())
 
 
 def basic_time_variant(t: int) -> float:
@@ -315,11 +309,9 @@ def adapt_pair(
     return adapt_pair_from_steps(omega_x, omega_y, err_x, err_y, p_pull, p_push)
 
 
-def make_stochastic_matrix(n_pop: int, rng: np.random.Generator) -> np.ndarray:
-    """Random row-stochastic matrix: uniform [0, 1) entries, rows normalized."""
-    if type(n_pop) is not int or n_pop < 1:  # runs every recombining generation
-        checked_int("n_pop", n_pop, 1)
-    r = rng.random((n_pop, n_pop))
+def make_stochastic_matrix(rng: np.random.Generator) -> np.ndarray:
+    """Random row-stochastic 2x2 matrix: uniform [0, 1) entries, rows normalized in place."""
+    r = rng.random((2, 2))
     return np.divide(r, np.add.reduce(r, axis=1, keepdims=True), out=r)
 
 
@@ -398,22 +390,20 @@ def _sweep_and_evaluate(pop, sys, work, shared):
 
 
 def select_and_reproduce(pop: Population) -> Population:
-    """Keep the best half of the population, each copied into two slots.
+    """Copy the better slot of a pair into both slots.
 
-    Ranking is by fitness with ties broken by lower slot index; survivor
-    k occupies slots 2k and 2k+1. Slot omegas stay where they are, so
-    the copies of one survivor run under different relaxation factors in
-    the next generation. Carried products move with their states.
-    ValueError unless fitness and carried products have one row per state.
+    The better slot is the one ``best_index`` ranks first: lower fitness,
+    slot 0 on a tie, NaN last. Slot omegas stay where they are, so the two
+    copies run under different relaxation factors in the next generation.
+    Carried products move with their states. ValueError unless the
+    population is an evaluated pair whose fitness and carried products
+    have one row per state.
     """
-    if pop.fitness is None:
-        raise ValueError("population must be evaluated before selection")
-    size = pop.size
-    if size % 2 != 0:
-        raise ValueError("population size must be even")
-    if len(pop.fitness) != size or pop.products is not None and len(pop.products) != size:
+    if pop.size != 2:
+        raise ValueError(f"selection takes a pair of slots, got {pop.size}")
+    keep = (pop.best_index(),) * 2
+    if len(pop.fitness) != 2 or pop.products is not None and len(pop.products) != 2:
         raise ValueError("population arrays disagree on the slot count")
-    keep = pop.fitness.argsort(kind="stable")[: size // 2].repeat(2)
     products = None if pop.products is None else pop.products.take(keep, 0)
     return Population(pop.states.take(keep, 0), pop.fitness.take(keep), pop.omegas, products)
 
@@ -450,7 +440,7 @@ def run_solver(sys: LinearSystem, cfg: SolverConfig) -> RunResult:
         shared = t > 1 and adaptive and not gauss_seidel
         if t:
             if recombining:
-                pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
+                pop = recombine(pop, make_stochastic_matrix(rng))
             pop = mutate_and_evaluate(pop, sys, work, shared=shared)
             if adaptive:  # one slot has no pair to adapt, nothing to select
                 w, f = pop.omegas.tolist(), pop.fitness.tolist()

@@ -254,15 +254,15 @@ def test_criterion_8_invariant_suite():
         0.7, 1.2, 4.0, 4.0, 3, np.random.default_rng(1)
     ) == (0.7, 1.2)
 
-    # selection never discards the best individual
+    # selection never discards the better of a pair
     sys_ = generate_problem(family_spec("P6", 8, seed=1))
     srng = np.random.default_rng(7)
     dominance = True
     for _ in range(25):
-        states = srng.uniform(-30, 30, size=(4, 8))
+        states = srng.uniform(-30, 30, size=(2, 8))
         fit = np.array([residual_norm(sys_, s) for s in states])
         pop = Population(
-            states=states, fitness=fit, omegas=init_relaxation_factors(4)
+            states=states, fitness=fit, omegas=init_relaxation_factors()
         )
         dominance &= select_and_reproduce(pop).fitness.min() == fit.min()
     checks["selection-dominance"] = dominance
@@ -270,19 +270,19 @@ def test_criterion_8_invariant_suite():
     # recombination keeps a shared exact solution exact
     x_star = np.linalg.solve(sys_.a, sys_.b)
     pop = Population(
-        states=np.tile(x_star, (4, 1)),
-        fitness=np.full(4, residual_norm(sys_, x_star)),
-        omegas=init_relaxation_factors(4),
+        states=np.tile(x_star, (2, 1)),
+        fitness=np.full(2, residual_norm(sys_, x_star)),
+        omegas=init_relaxation_factors(),
     )
-    rec = recombine(pop, make_stochastic_matrix(4, np.random.default_rng(3)))
+    rec = recombine(pop, make_stochastic_matrix(np.random.default_rng(3)))
     checks["recombination-preserves-solution"] = all(
         residual_norm(sys_, s) <= 1e-10 for s in rec.states
     )
 
     # stochastic matrix rows always sum to one
     rows_ok = True
-    for n_pop in (1, 2, 6):
-        r = make_stochastic_matrix(n_pop, np.random.default_rng(n_pop))
+    for seed in (1, 2, 6):
+        r = make_stochastic_matrix(np.random.default_rng(seed))
         rows_ok &= bool(np.max(np.abs(r.sum(axis=1) - 1.0)) <= 1e-12)
     checks["stochastic-rows"] = rows_ok
 

@@ -1,3 +1,5 @@
+import importlib
+import pathlib
 import re
 import runpy
 import subprocess
@@ -423,6 +425,13 @@ def test_generate_unwritable_exits_3(tmp_path, capsys):
 
 
 def test_console_script_is_installed():
+    # pyproject.toml's [project.scripts] line names cli.main. Python 3.10
+    # has no tomllib, so the line is read as text.
+    text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    entry = re.fullmatch(r'relaxsolve = "([\w.]+):(\w+)"', section.strip())
+    assert entry is not None, section
+    assert getattr(importlib.import_module(entry[1]), entry[2]) is main
     proc = subprocess.run(
         [sys.executable, "-m", "relaxsolve.cli", "--help"],
         capture_output=True,

@@ -138,20 +138,19 @@ def test_solver_config_validation():
 # --------------------------------------------------------- initialization
 
 def test_init_relaxation_factors_midpoints():
-    assert np.allclose(init_relaxation_factors(2), [0.5, 1.5], atol=0)
-    assert np.allclose(init_relaxation_factors(4), [0.25, 0.75, 1.25, 1.75], atol=0)
-    assert np.allclose(init_relaxation_factors(1), [1.0], atol=0)
+    # The midpoints of the two halves of (OMEGA_LO, OMEGA_HI).
+    w = init_relaxation_factors()
+    assert w.dtype == np.float64 and w.tolist() == [0.5, 1.5]
 
 
 def test_init_relaxation_factors_strictly_inside():
-    for n_pop in (1, 2, 6, 40):
-        w = init_relaxation_factors(n_pop)
-        assert np.all(w > OMEGA_LO) and np.all(w < OMEGA_HI)
-    # 2.5 gave three omegas, the last on the bound, and True one slot.
-    for n_pop in (0, 2.5, True):
-        with pytest.raises(ValueError, match=f"^n_pop must be an integer >= 1, got {n_pop}$"):
-            init_relaxation_factors(n_pop)
-    assert init_relaxation_factors(np.int64(4)).tolist() == init_relaxation_factors(4).tolist()
+    w = init_relaxation_factors()
+    assert np.all(w > OMEGA_LO) and np.all(w < OMEGA_HI)
+    # A run adapts its omegas in place, so every call hands out a new array.
+    assert init_relaxation_factors() is not w
+    # The pair is the only size a run builds: there is no size to pass.
+    with pytest.raises(TypeError):
+        init_relaxation_factors(2)
 
 
 def test_init_population_contract():
@@ -350,20 +349,18 @@ def test_adapt_step_magnitude_scale_shrinks_with_t():
 # ------------------------------------------------------------ recombination
 
 def test_stochastic_matrix_rows_sum_to_one():
-    assert np.allclose(make_stochastic_matrix(1, np.random.default_rng(0)), [[1.0]])
-    # numpy refused 2.0 and True with a TypeError that named no field.
-    for n_pop in (0, 2.0, True):
-        with pytest.raises(ValueError, match=f"^n_pop must be an integer >= 1, got {n_pop}$"):
-            make_stochastic_matrix(n_pop, np.random.default_rng(0))
-    assert make_stochastic_matrix(np.int64(2), np.random.default_rng(0)).shape == (2, 2)
-    for n_pop in (2, 5, 8):
-        r = make_stochastic_matrix(n_pop, np.random.default_rng(n_pop))
-        assert r.shape == (n_pop, n_pop)
+    for seed in (1, 2, 5, 8):
+        r = make_stochastic_matrix(np.random.default_rng(seed))
+        assert r.shape == (2, 2) and r.dtype == np.float64
         assert np.all(r >= 0.0)
         assert np.max(np.abs(r.sum(axis=1) - 1.0)) <= 1e-12
-    r1 = make_stochastic_matrix(4, np.random.default_rng(5))
-    r2 = make_stochastic_matrix(4, np.random.default_rng(5))
-    assert np.array_equal(r1, r2)
+    # One rng.random((2, 2)) draw with its rows divided by their sums.
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    raw = ref.random((2, 2))
+    assert make_stochastic_matrix(rng).tobytes() == (raw / raw.sum(axis=1, keepdims=True)).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    with pytest.raises(TypeError):
+        make_stochastic_matrix(2, rng)
 
 
 def _evaluated_population(sys_, states, omegas):
@@ -398,7 +395,7 @@ def test_recombine_averaging_matrix():
 def test_recombine_preserves_shared_solution():
     x_star = np.array([1.0, 1.0])
     pop = _evaluated_population(SYS2, [x_star, x_star], [0.5, 1.5])
-    r = make_stochastic_matrix(2, np.random.default_rng(8))
+    r = make_stochastic_matrix(np.random.default_rng(8))
     out = recombine(pop, r)
     for s in out.states:
         assert residual_norm(SYS2, s) <= 1e-12
@@ -483,8 +480,9 @@ def test_derived_gauss_seidel_fitness_matches_direct_residual(pid):
             bound = _derived_fitness_bound(sys_, x, x_new, omega, ux)
             assert abs(fit - residual_norm(sys_, x_new)) <= bound
         pop = out
-        if round_ == 1:
-            pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
+        if round_ == 1:  # five slots: a row-stochastic matrix of their own
+            r = rng.random((5, 5))
+            pop = recombine(pop, r / r.sum(axis=1, keepdims=True))
 
 
 def test_mutation_equal_states_different_omegas_diverge():
@@ -520,9 +518,9 @@ def test_stages_leave_their_input_population_unchanged(variant):
     rng = np.random.default_rng(9)
     sys_ = _dominant_system(6, seed=2)
     work = _work(sys_, variant)
-    pop = _evaluated_population(sys_, rng.uniform(-30.0, 30.0, (4, 6)), [0.3, 0.8, 1.2, 1.7])
+    pop = _evaluated_population(sys_, rng.uniform(-30.0, 30.0, (2, 6)), [0.3, 1.7])
     pop = mutate_and_evaluate(pop, sys_, work)  # carries products from here
-    r = make_stochastic_matrix(pop.size, rng)
+    r = make_stochastic_matrix(rng)
     stages = [
         lambda p: recombine(p, r),
         lambda p: mutate_and_evaluate(p, sys_, work),
@@ -570,20 +568,6 @@ def test_selection_duplicates_best_of_two():
     assert np.array_equal(out.omegas, pop.omegas)
 
 
-def test_selection_rank_order_n4():
-    sys4 = LinearSystem(np.eye(4) * 2.0, np.zeros(4))
-    # fitness = 2*||state||: states engineered to give fitness order 3,1,4,2
-    states = [[1.5, 0, 0, 0], [0.5, 0, 0, 0], [2.0, 0, 0, 0], [1.0, 0, 0, 0]]
-    pop = _evaluated_population(sys4, states, [0.25, 0.75, 1.25, 1.75])
-    out = select_and_reproduce(pop)
-    # survivors are old slots 1 and 3 (0-based), best first, each doubled
-    assert np.array_equal(out.states[0], pop.states[1])
-    assert np.array_equal(out.states[1], pop.states[1])
-    assert np.array_equal(out.states[2], pop.states[3])
-    assert np.array_equal(out.states[3], pop.states[3])
-    assert np.array_equal(out.omegas, pop.omegas)
-
-
 def test_selection_tie_break_prefers_lower_slot():
     pop = _evaluated_population(SYS2, [[2.0, 0.0], [0.0, 2.0]], [0.5, 1.5])
     assert pop.fitness[0] == pop.fitness[1]
@@ -596,24 +580,28 @@ def test_selection_never_discards_best():
     sys_ = _dominant_system(6, seed=13)
     rng = np.random.default_rng(5)
     for _ in range(20):
-        states = rng.uniform(-30, 30, size=(4, 6))
-        pop = _evaluated_population(sys_, states, [0.25, 0.75, 1.25, 1.75])
+        states = rng.uniform(-30, 30, size=(2, 6))
+        pop = _evaluated_population(sys_, states, [0.5, 1.5])
         out = select_and_reproduce(pop)
-        assert out.fitness.min() == pop.fitness.min()
+        assert out.fitness.tolist() == [pop.fitness.min()] * 2
 
 
 @pytest.mark.parametrize(
     "fitness, best",
     [([math.nan, 1.0], 1), ([1.0, math.nan], 0), ([2.0, 2.0], 0), ([math.nan, math.nan], 0),
-     ([math.inf, math.nan], 0), ([3.0, math.nan, 1.0, 1.0], 2)],
+     ([math.inf, math.nan], 0), ([3.0, math.nan, 1.0, 1.0], 2), ([math.nan, math.inf], 1)],
 )
 def test_best_index_is_the_slot_selection_keeps(fitness, best):
     # One ranking: lower fitness first, ties to the lower slot, NaN last.
-    n_pop = len(fitness)
-    pop = Population(np.arange(n_pop * 2.0).reshape(n_pop, 2), np.array(fitness),
-                     init_relaxation_factors(n_pop))
+    # It ranks any slot count; selection takes only a pair.
+    size = len(fitness)
+    pop = Population(np.arange(size * 2.0).reshape(size, 2), np.array(fitness),
+                     np.linspace(0.5, 1.5, size))
     assert pop.best_index() == best
-    assert np.array_equal(select_and_reproduce(pop).states[0], pop.states[best])
+    if size == 2:
+        out = select_and_reproduce(pop)
+        assert np.array_equal(out.states, pop.states[[best, best]])
+        assert out.fitness.tobytes() == pop.fitness[[best, best]].tobytes()
 
 
 @pytest.mark.parametrize("variant", ADAPTIVE)
@@ -622,7 +610,7 @@ def test_generation_0_is_judged_on_the_best_ranked_slot(monkeypatch, variant):
     sys_ = _dominant_system(4, seed=1)
     x1 = np.linalg.solve(sys_.a, sys_.b)
     start = Population(np.array([np.full(4, np.nan), x1]), np.array([math.nan, 1e-9]),
-                       init_relaxation_factors(2))
+                       init_relaxation_factors())
     monkeypatch.setattr(evolution, "init_population", lambda *args: start)
     res = run_solver(sys_, SolverConfig(variant=variant, seed=0))
     assert res.converged and not res.diverged
@@ -640,48 +628,53 @@ def test_selection_requires_evaluation():
         pop.best_index()
 
 
-def test_selection_requires_an_even_population():
-    # Selection keeps the better half and doubles it.
-    pop = _evaluated_population(SYS2, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.5, 1.0, 1.5])
-    with pytest.raises(ValueError, match="^population size must be even$"):
-        select_and_reproduce(pop)
+def test_selection_refuses_any_slot_count_but_a_pair():
+    # A run selects only in its adaptive pair; a fixed run's one slot skips selection.
+    for size in (1, 3, 4):
+        states = np.arange(size * 2.0).reshape(size, 2)
+        pop = _evaluated_population(SYS2, states, np.linspace(0.5, 1.5, size))
+        with pytest.raises(ValueError, match=f"^selection takes a pair of slots, got {size}$"):
+            select_and_reproduce(pop)
 
 
 # ------------------------------------------------------- carried products
 
 @pytest.mark.parametrize(
-    "variant, n_pop",
+    "variant, share",
     [
-        pytest.param(Variant.JBTVA, 4, id="JBTVA"),
-        pytest.param(Variant.GSBTVA, 4, id="GSBTVA"),
-        pytest.param(Variant.JBTVA, 2, id="JBTVA-shared"),
-        pytest.param(Variant.MJBTVA, 2, id="MJBTVA-shared"),
+        pytest.param(Variant.JBTVA, False, id="JBTVA"),
+        pytest.param(Variant.GSBTVA, False, id="GSBTVA"),
+        pytest.param(Variant.JBTVA, True, id="JBTVA-shared"),
+        pytest.param(Variant.MJBTVA, True, id="MJBTVA-shared"),
     ],
 )
-def test_carried_products_match_recomputation(variant, n_pop):
+def test_carried_products_match_recomputation(variant, share):
     # Rows of ``products`` are A x (Jacobi) or U x (Gauss-Seidel); after
     # every stage they must equal a fresh product of the states up to the
-    # rounding of n-term sums. Four slots make recombination mix and
-    # selection drop two states. Two Jacobi slots hold copies of one
-    # survivor after the first selection, so from then on they step from
-    # its shared product A delta, as in a run.
+    # rounding of n-term sums. In the first generation a recombining pair
+    # mixes two distinct starts and selection drops one of them. From then
+    # on both slots hold copies of one survivor, so with ``share`` two
+    # Jacobi slots step from its shared product A delta, as in a run;
+    # without it they take A x' directly.
     sys_ = generate_problem(family_spec("P7", 30, 0))
     m = sys_.a if variant.method == "jacobi" else np.triu(sys_.a, 1)
     work = _work(sys_, variant)
     rng = np.random.default_rng(4)
-    states = rng.uniform(-30.0, 30.0, size=(n_pop, sys_.n))
-    pop = _evaluated_population(sys_, states, init_relaxation_factors(n_pop))
+    states = rng.uniform(-30.0, 30.0, size=(2, sys_.n))
+    pop = _evaluated_population(sys_, states, init_relaxation_factors())
     assert pop.products is None
 
     def check(pop, scale):
         err = np.max(np.abs(pop.products - pop.states @ m.T))
         assert err <= 8 * sys_.n * EPS * scale
 
-    for _ in range(4):
-        shared = variant.method == "jacobi" and n_pop == 2 and pop.products is not None
+    for t in range(4):
+        shared = share and pop.products is not None
         scale = np.max(np.abs(pop.states) @ np.abs(m).T)
         if variant.uses_recombination:
-            pop = recombine(pop, make_stochastic_matrix(pop.size, rng))
+            pop = recombine(pop, make_stochastic_matrix(rng))
+            if t == 0:
+                assert not np.array_equal(pop.states[0], pop.states[1])
         if pop.products is not None:
             check(pop, scale)
         carried = pop.products
@@ -696,7 +689,9 @@ def test_carried_products_match_recomputation(variant, n_pop):
             assert np.array_equal(pop.products, [sys_.a @ s for s in pop.states])
         if variant.method == "jacobi":
             assert pop.fitness.tolist() == [np.linalg.norm(p - sys_.b) for p in pop.products]
+        kept = pop.states[pop.best_index()]
         pop = select_and_reproduce(pop)
+        assert np.array_equal(pop.states, [kept, kept])
         check(pop, scale)
     if work is not None:  # every step zeroes what it wrote
         assert not any(np.diagonal(block).any() for *_, block in work)
@@ -831,7 +826,7 @@ def _textbook_run(sys_, cfg):
             parents = x
             if t:
                 if variant.uses_recombination:
-                    parents = make_stochastic_matrix(2, rng) @ x
+                    parents = make_stochastic_matrix(rng) @ x
                 x = np.array([step(sys_, p, w) for p, w in zip(parents, omegas)])
             fitness = [residual_norm(sys_, s) for s in x]
             # Either route sums the terms of A x' - b from A x, A x' and, for

@@ -13,7 +13,14 @@ from relaxsolve import (
     jacobi_sr_step,
     run_solver,
 )
-from relaxsolve.iteration import OMEGA_HI, OMEGA_LO, gauss_seidel_work, upper_product
+from relaxsolve.iteration import (
+    BLOCK_ROWS,
+    BLOCKED_FROM,
+    OMEGA_HI,
+    OMEGA_LO,
+    gauss_seidel_work,
+    upper_product,
+)
 
 EPS = np.finfo(np.float64).eps
 
@@ -242,9 +249,23 @@ def test_blocked_gs_kernels_match_the_dense_operator():
     assert not any(np.diagonal(block).any() for *_, block in work)
 
 
-@pytest.mark.parametrize("n, k", [(30, 2), (256, 2), (256, 5), (600, 1)])
+@pytest.mark.parametrize("n, spans", [(499, [(0, 499)]), (500, [(0, 256), (256, 500)])])
+def test_gauss_seidel_work_layout(n, spans):
+    # Two states at n >= BLOCKED_FROM sweep in blocks of BLOCK_ROWS rows;
+    # each block is A's diagonal block with a zero diagonal.
+    assert (BLOCKED_FROM, BLOCK_ROWS) == (500, 256)
+    sys_ = generate_problem(family_spec("P6", n, 0))
+    work = gauss_seidel_work(sys_, 2)
+    assert [(s, e) for s, e, _ in work] == spans
+    for s, e, block in work:
+        want = sys_.a[s:e, s:e].copy()
+        np.fill_diagonal(want, 0.0)
+        assert block.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(30, 2), (256, 2), (256, 5), (499, 2), (600, 1)])
 def test_one_block_sweeps_equal_per_slot_calls_bit_for_bit(n, k):
-    # One slot at any n, and any stack at n <= 256, runs as one block,
+    # One slot at any n, and any stack at n < BLOCKED_FROM, runs as one block,
     # with the same calls as one slot at a time.
     sys_, x, omegas = _stack(n, 5, k)
     work = gauss_seidel_work(sys_, k)
